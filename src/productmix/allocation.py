@@ -18,8 +18,9 @@ preserving its solutions:
 allocate drives these until the bid lists are empty; the number of edges of
 the marginal bids graph strictly decreases with every cluster or cycle step,
 which bounds the loop.  Internally all values are held as integers scaled by
-ten, so the 1/10 perturbations stay exact and every hot scan runs on machine
-ints; bids therefore always live on the 1/10 grid by construction.
+ten, so the 1/10 perturbations stay exact and every hot scan runs on ints
+rather than Fractions; bids therefore always live on the 1/10 grid by
+construction.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
-from . import kernels, sfm
+from . import sfm
 from .core import Bid, BidList, as_bundle, is_demanded, rat
 from .errors import BadCluster, NotClearing
 from .graphs import (
@@ -41,6 +42,7 @@ from .graphs import (
     find_params,
     priority_params,
 )
+from .kernels import pure
 
 _SCALE = 10  # all working values are tenths
 
@@ -74,25 +76,10 @@ class AllocationProblem:
         self.residual = list(target_ext)
         self.partial = {j: [0] * (self.n + 1) for j in self.names}
         self.checks = checks
-        # Static magnitude envelope: every projection moves a coordinate by
-        # one unit and the loop makes at most |J|*C(n+1,2) cycle steps, so
-        # working values never leave this bound (lets kernel dispatch skip
-        # rescanning the rows on every call).
-        start = max(
-            (abs(v) for rws in rows.values() for row in rws for v in row),
-            default=0,
-        )
-        slack = _SCALE * (len(self.names) * comb(self.n + 2, 2) + 2)
-        self._mag_bound = start + max(p for p in price10 + [0]) + slack
-
-    # -- kernel plumbing ----------------------------------------------------
-
-    def _impl(self, price10=None):
-        return kernels.active(self.n, 2 * self._mag_bound)
 
     def masks(self, bidder: str, price10=None) -> list[int]:
-        p = list(price10 if price10 is not None else self.price10)
-        return self._impl(p).demand_masks(self.rows[bidder], p)
+        p = self.price10 if price10 is None else price10
+        return pure.demand_masks(self.rows[bidder], p)
 
     def marginal_sets(self) -> dict[str, list[frozenset[int]]]:
         out = {}
@@ -380,11 +367,10 @@ def shift_project_unshift(
 
     agg_rows = [row for j in problem.names for row in problem.rows[j]]
     agg_weights = [w for j in problem.names for w in problem.weights[j]]
-    impl = problem._impl()
     resid = problem.residual
 
     def g_scaled(p10):
-        util = impl.indirect_utility(agg_rows, agg_weights, p10)
+        util = pure.indirect_utility(agg_rows, agg_weights, p10)
         return util + sum(resid[g] * p10[g - 1] for g in range(1, problem.n + 1))
 
     base10 = list(problem.price10)

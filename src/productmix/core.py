@@ -7,9 +7,9 @@ the reject good is simply not filled.  Bids carry unit weights +1 or -1
 (weighted input bids are expanded at construction), and a bid list is an
 ordered multiset of unit bids owned by one bidder.
 
-Hot loops delegate to productmix.kernels after rescaling values and prices
-to a common integer grid, which keeps the arithmetic exact while letting the
-compiled kernels run on machine ints.
+Hot loops delegate to productmix.kernels.pure after rescaling values and
+prices to a common integer grid, so the scans run on ints rather than
+Fractions and stay exact.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from . import kernels
 from .errors import InfeasibleBundle, MarginalPrice
+from .kernels import pure
 
 Rational = Union[int, str, Fraction]
 
@@ -181,24 +181,22 @@ def _bids_of(bids) -> tuple[tuple[Bid, ...], int | None]:
 class ScaledBids:
     """Bids and prices rescaled to a common integer grid for the kernels."""
 
-    __slots__ = ("n", "scale", "vals", "weights", "max_abs")
+    __slots__ = ("scale", "vals", "weights")
 
-    def __init__(self, bids: Sequence[Bid], n: int, scale: int):
-        self.n = n
+    def __init__(self, bids: Sequence[Bid], scale: int):
         self.scale = scale
         self.vals = [[int(v * scale) for v in b.values] for b in bids]
         self.weights = [b.weight for b in bids]
-        self.max_abs = max((abs(v) for row in self.vals for v in row), default=0)
 
     @classmethod
-    def build(cls, bids: Sequence[Bid], n: int, extra_denominators: Iterable[int] = ()) -> "ScaledBids":
+    def build(cls, bids: Sequence[Bid], extra_denominators: Iterable[int] = ()) -> "ScaledBids":
         scale = 1
         for b in bids:
             for v in b.values:
                 scale = math.lcm(scale, v.denominator)
         for d in extra_denominators:
             scale = math.lcm(scale, d)
-        return cls(bids, n, scale)
+        return cls(bids, scale)
 
     def price_ints(self, price: Sequence[Fraction]) -> list[int]:
         out = []
@@ -211,22 +209,18 @@ class ScaledBids:
             out.append(int(q))
         return out
 
-    def _impl(self, pints):
-        mag = max([self.max_abs] + [abs(p) for p in pints] + [1])
-        return kernels.active(self.n, 2 * mag)
-
     def utility(self, pints: list[int]) -> int:
         """Scaled indirect utility (divide by .scale for the true value)."""
-        return self._impl(pints).indirect_utility(self.vals, self.weights, pints)
+        return pure.indirect_utility(self.vals, self.weights, pints)
 
     def masks(self, pints: list[int]) -> list[int]:
-        return self._impl(pints).demand_masks(self.vals, pints)
+        return pure.demand_masks(self.vals, pints)
 
     def bundle(self, pints: list[int]):
-        return self._impl(pints).unique_bundle(self.vals, self.weights, pints)
+        return pure.unique_bundle(self.vals, self.weights, pints)
 
     def min_step(self, pints: list[int], smask: int) -> int:
-        return self._impl(pints).min_step(self.vals, pints, smask)
+        return pure.min_step(self.vals, pints, smask)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +268,7 @@ def indirect_utility(bids, price: Sequence[Rational]) -> Fraction:
     if not seq:
         return Fraction(0)
     p = as_price(price, n)
-    arr = ScaledBids.build(seq, n, (x.denominator for x in p))
+    arr = ScaledBids.build(seq, (x.denominator for x in p))
     return Fraction(arr.utility(arr.price_ints(p)), arr.scale)
 
 
@@ -290,7 +284,7 @@ def demanded_bundle(bids, price: Sequence[Rational]) -> tuple[int, ...]:
         n = len(tuple(price)) if n is None else n
         return (0,) * (n + 1)
     p = as_price(price, n)
-    arr = ScaledBids.build(seq, n, (x.denominator for x in p))
+    arr = ScaledBids.build(seq, (x.denominator for x in p))
     bundle = arr.bundle(arr.price_ints(p))
     if bundle is None:
         raise MarginalPrice(f"some bid is marginal at {tuple(map(str, p))}")
@@ -310,7 +304,7 @@ def demand_interval(bids, price: Sequence[Rational]) -> tuple[tuple[int, ...], t
         z = (0,) * (n + 1)
         return z, z
     p = as_price(price, n)
-    arr = ScaledBids.build(seq, n, (x.denominator for x in p))
+    arr = ScaledBids.build(seq, (x.denominator for x in p))
     masks = arr.masks(arr.price_ints(p))
     mins = [0] * (n + 1)
     maxs = [0] * (n + 1)

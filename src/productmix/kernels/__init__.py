@@ -1,55 +1,17 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""Demand kernels: the per-bid scans every price query reduces to.
 
-The compiled module is optional (built via ``python setup.py build_ext
---inplace``).  Selection happens once at import and per call site:
+``pure`` is the one implementation.  Callers use its functions through the
+module attribute (``pure.demand_masks(...)``) rather than importing the
+names, so that wrapping ``pure``'s functions reaches every call.
 
-* the environment variable ``PRODUCTMIX_KERNELS`` may force ``pure`` or
-  ``fast`` (the default ``auto`` prefers the compiled module);
-* the compiled kernels are only used when the scaled magnitudes fit safely
-  in 64-bit arithmetic and bitmasks fit in a C long long.
-
-Both implementations are exact; the pure twins run on arbitrary-precision
-ints and serve as the reference in tests and as the fallback on platforms
-without a compiler.
+``HAVE_COMPILED`` and ``backend_name()`` remain so that tools recording the
+kernel lane of a run keep working; there is no compiled lane.
 """
-
-import os
 
 from . import pure
 
-try:
-    from . import _fast
-except ImportError:  # extension not built
-    _fast = None
-
-HAVE_COMPILED = _fast is not None
-
-# Conservative headroom: per-bid sums stay far below 2**63 for any input
-# whose individual scaled magnitudes are below this bound.
-INT64_SAFE_MAGNITUDE = 1 << 44
-MAX_COMPILED_GOODS = 62
-
-
-def _mode():
-    return os.environ.get("PRODUCTMIX_KERNELS", "auto").lower()
-
-
-def active(n, max_abs):
-    """Return the kernel module to use for inputs of this shape."""
-    mode = _mode()
-    if mode == "pure":
-        return pure
-    if _fast is None:
-        if mode == "fast":
-            raise RuntimeError("compiled kernels requested but not built")
-        return pure
-    if n <= MAX_COMPILED_GOODS and max_abs < INT64_SAFE_MAGNITUDE:
-        return _fast
-    if mode == "fast":
-        raise RuntimeError("input exceeds compiled kernel bounds")
-    return pure
+HAVE_COMPILED = False
 
 
 def backend_name():
-    probe = active(2, 1)
-    return "fast" if probe is _fast else "pure"
+    return "pure"

@@ -3,11 +3,9 @@
 These are the hot inner loops of the solver: every price query reduces to a
 scan over all bids computing surpluses against the implicit reject good.  All
 inputs are integers under a caller-chosen common scale, so arithmetic is exact
-and the functions here are drop-in twins of the compiled versions in
-``productmix.kernels._fast`` (which require magnitudes to fit in 64 bits;
-these do not).
+at any magnitude (Python ints do not overflow).
 
-Conventions shared by both implementations:
+Conventions:
 
 * ``vals`` is a sequence of ``k`` rows, each a sequence of ``n`` ints (the
   scaled bid values for real goods ``1..n``); the reject good 0 has value 0

@@ -15,7 +15,9 @@ sweep that advances to the next price at which some bid's demanded set stops
 being a subset of the step direction.  Before any submodular call the
 dimension is cut down by coordinate bounds on demanded bundles (goods every
 demanded bundle over-supplies must join the direction, goods none over-supply
-never do), which makes most iterations SFM-free.
+never do).  These bounds shrink the ground set of the submodular
+minimisation; they skip it only when every good is forced or settled, which
+is rare on generated auctions.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class PriceProblem:
         self.reserve_count = sum(self.target) + 1
         bids.extend(reserve for _ in range(self.reserve_count))
         self.bids = tuple(bids)
-        self.arr = ScaledBids.build(self.bids, self.n)
+        self.arr = ScaledBids.build(self.bids)
         if self.arr.scale != 1:
             # Integrality of the minimal clearing price (and the step rules)
             # rests on integer bid values; fractional lists are rejected.
@@ -115,7 +117,7 @@ def lyapunov(pp: PriceProblem, price) -> Fraction:
         pints = pp.arr.price_ints(p)
         return Fraction(pp._g(pints), pp.arr.scale)
     except ValueError:
-        arr = ScaledBids.build(pp.bids, pp.n, (x.denominator for x in p))
+        arr = ScaledBids.build(pp.bids, (x.denominator for x in p))
         g = arr.utility(arr.price_ints(p))
         return Fraction(g, arr.scale) + sum(t * x for t, x in zip(pp.target, p))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,14 +33,10 @@ _Z2 = 1e-10
 
 @dataclass
 class SetFunction:
-    """A set function on ground set {1..n} assumed (not checked) submodular.
-
-    ``bound`` may carry a known bound on |f|; it is informational only.
-    """
+    """A set function on ground set {1..n} assumed (not checked) submodular."""
 
     n: int
     fn: Callable[[frozenset], "int | Fraction"]
-    bound: Optional[int] = None
 
 
 class _Memo:
@@ -104,7 +100,7 @@ def _greedy_vertex(memo, ground, weights):
     return vertex
 
 
-def _exact_gap_check(memo, ground, corral_exact, lams):
+def _exact_gap_check(memo, corral_exact, lams):
     """Exact lower bound on the minimum from a convex combination of exact
     base-polytope vertices, or None when the coefficients degenerate."""
     total = Fraction(0)
@@ -115,7 +111,7 @@ def _exact_gap_check(memo, ground, corral_exact, lams):
         total += w
     if total == 0:
         return None
-    m = len(ground)
+    m = len(corral_exact[0])
     y = [Fraction(0)] * m
     for w, vertex in zip(weights, corral_exact):
         if w == 0:
@@ -175,7 +171,7 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
 
     for _ in range(major_cap):
         exact_candidates()
-        lb = _exact_gap_check(memo, ground, corral_exact, lams)
+        lb = _exact_gap_check(memo, corral_exact, lams)
         if lb is not None and memo.best_val is not None:
             if Fraction(memo.best_val) - lb < 1:
                 return memo.best_set, memo.best_val
@@ -187,7 +183,7 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
         if np.dot(x, q) >= np.dot(x, x) - _Z1 * scale:
             # float convergence; force one final exact verdict
             exact_candidates()
-            lb = _exact_gap_check(memo, ground, corral_exact, lams)
+            lb = _exact_gap_check(memo, corral_exact, lams)
             if lb is not None and Fraction(memo.best_val) - lb < 1:
                 return memo.best_set, memo.best_val
             raise ConvergenceFailure("min-norm point converged without certificate")
@@ -216,7 +212,7 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
     raise ConvergenceFailure(f"no certificate after {major_cap} major cycles")
 
 
-def _minimise_ground(memo, ground, n, method):
+def _minimise_ground(memo, ground, method):
     ground = tuple(sorted(ground))
     if not ground:
         return frozenset(), memo(frozenset())
@@ -243,7 +239,7 @@ def minimise(f: SetFunction, method: str = "auto"):
     ground = range(1, f.n + 1)
     if method == "wolfe":
         return _wolfe(memo, tuple(ground))
-    return _minimise_ground(memo, ground, f.n, method)
+    return _minimise_ground(memo, ground, method)
 
 
 def minimal_minimiser(f: SetFunction, method: str = "auto") -> frozenset:
@@ -257,11 +253,11 @@ def minimal_minimiser(f: SetFunction, method: str = "auto") -> frozenset:
         raise ValueError(f"unknown method {method!r}")
     memo = _Memo(f.fn)
     ground = tuple(range(1, f.n + 1))
-    s, val = _minimise_ground(memo, ground, f.n, method)
+    s, val = _minimise_ground(memo, ground, method)
     bottom = set()
     for v in sorted(s):
         sub = tuple(g for g in ground if g != v)
-        _, val_v = _minimise_ground(memo, sub, f.n, method)
+        _, val_v = _minimise_ground(memo, sub, method)
         if val_v > val:
             bottom.add(v)
     return frozenset(bottom)

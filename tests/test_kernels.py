@@ -1,13 +1,10 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from productmix import kernels
+from productmix.core import Bid, demanded_goods
 from productmix.kernels import pure
-
-fast = pytest.importorskip(
-    "productmix.kernels._fast", reason="compiled kernels not built"
-)
 
 
 def random_case(rng: Random, big=False):
@@ -20,26 +17,62 @@ def random_case(rng: Random, big=False):
     return n, vals, weights, price
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_twins_agree(seed):
+def tie_price(rng: Random, row, big=False):
+    """A price at which the bid with these values ties on a random set of goods."""
+    hi = 10**12 if big else 500
+    c = rng.choice([0, rng.randint(1, hi)])
+    return [v - c + (0 if rng.random() < 0.5 else rng.randint(1, hi)) for v in row]
+
+
+def goods_mask(goods) -> int:
+    mask = 0
+    for g in goods:
+        mask |= 1 << g
+    return mask
+
+
+def surpluses(row, price) -> list[Fraction]:
+    """Surplus on every good, the reject good 0 first."""
+    return [Fraction(0)] + [Fraction(v) - p for v, p in zip(row, price)]
+
+
+def oracle_min_step(vals, price, smask):
+    inside = {g for g in range(1, len(price) + 1) if (smask >> g) & 1}
+    gaps = []
+    for row in vals:
+        demanded = demanded_goods(Bid(tuple(row), 1), price)
+        if 0 in demanded or not demanded <= inside:
+            continue
+        s = surpluses(row, price)
+        gaps.append(max(s) - max(s[g] for g in range(len(s)) if g not in inside))
+    return min(gaps) if gaps else -1
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_kernels_match_fraction_definitions(seed, big):
     rng = Random(seed)
     for _ in range(40):
-        n, vals, weights, price = random_case(rng)
-        assert fast.indirect_utility(vals, weights, price) == pure.indirect_utility(
-            vals, weights, price
-        )
-        assert fast.demand_masks(vals, price) == pure.demand_masks(vals, price)
-        assert fast.unique_bundle(vals, weights, price) == pure.unique_bundle(
-            vals, weights, price
-        )
-        smask = 0
-        for i in range(1, n + 1):
-            if rng.random() < 0.5:
-                smask |= 1 << i
-        if smask:
-            assert fast.min_step(vals, price, smask) == pure.min_step(
-                vals, price, smask
-            )
+        n, vals, weights, price = random_case(rng, big)
+        if vals and rng.random() < 0.5:
+            price = tie_price(rng, rng.choice(vals), big)
+        demanded = [demanded_goods(Bid(tuple(row), w), price) for row, w in zip(vals, weights)]
+
+        assert pure.demand_masks(vals, price) == [goods_mask(d) for d in demanded]
+
+        utility = sum(w * max(surpluses(row, price)) for row, w in zip(vals, weights))
+        assert pure.indirect_utility(vals, weights, price) == utility
+
+        if any(len(d) > 1 for d in demanded):
+            expected = None
+        else:
+            expected = [0] * (n + 1)
+            for d, w in zip(demanded, weights):
+                expected[min(d)] += w
+        assert pure.unique_bundle(vals, weights, price) == expected
+
+        for smask in range(2, 1 << (n + 1), 2):
+            assert pure.min_step(vals, price, smask) == oracle_min_step(vals, price, smask)
 
 
 def test_min_step_semantics():
@@ -50,55 +83,6 @@ def test_min_step_semantics():
     assert pure.min_step(vals, price, 0b100) == -1  # nobody demands only good 2
 
 
-def test_dispatch_env_override(monkeypatch):
-    monkeypatch.setenv("PRODUCTMIX_KERNELS", "pure")
-    assert kernels.active(2, 100) is pure
-    monkeypatch.setenv("PRODUCTMIX_KERNELS", "auto")
-    assert kernels.active(2, 100) is fast
-
-
-def test_dispatch_falls_back_on_wide_inputs(monkeypatch):
-    monkeypatch.delenv("PRODUCTMIX_KERNELS", raising=False)
-    assert kernels.active(100, 10) is pure  # too many goods for bitmasks
-    assert kernels.active(2, 1 << 60) is pure  # magnitudes unsafe for int64
-    monkeypatch.setenv("PRODUCTMIX_KERNELS", "fast")
-    with pytest.raises(RuntimeError):
-        kernels.active(2, 1 << 60)
-
-
 def test_pure_handles_big_ints():
     vals = [[10**30, 0]]
     assert pure.indirect_utility(vals, [1], [0, 0]) == 10**30
-
-
-def test_bench_module_runs():
-    from productmix.kernels import bench
-
-    lines = []
-    bench.run(out=lines.append)
-    assert lines and lines[0].startswith("kernel")
-    assert len(lines) >= 1 + 4 * len(bench.SHAPES)
-
-
-def test_full_pipeline_identical_across_lanes(monkeypatch):
-    from productmix import PriceProblem, allocate, long_step_min_up, min_up
-    from productmix.testgen import GenConfig, generate_instance
-
-    def run():
-        out = []
-        rng = Random("lanes")
-        for _ in range(3):
-            lists, target = generate_instance(GenConfig(n=3, q=8), 2, rng)
-            pp = PriceProblem(lists, target)
-            out.append(min_up(pp))
-            out.append(long_step_min_up(pp, "binary"))
-            out.append(long_step_min_up(pp, "demand_change"))
-            sol = allocate(lists, target, (50, 50, 50), checks=True)
-            out.append(sorted(sol.bundles.items()))
-        return out
-
-    monkeypatch.setenv("PRODUCTMIX_KERNELS", "fast")
-    fast_out = run()
-    monkeypatch.setenv("PRODUCTMIX_KERNELS", "pure")
-    pure_out = run()
-    assert fast_out == pure_out
