@@ -19,8 +19,8 @@ allocate drives these until the bid lists are empty; the number of edges of
 the marginal bids graph strictly decreases with every cluster or cycle step,
 which bounds the loop.  Internally all values are held as integers scaled by
 ten, so the 1/10 perturbations stay exact and every hot scan runs on ints
-rather than Fractions; bids therefore always live on the 1/10 grid by
-construction.
+rather than Fractions: each bidder's rows are the table core.ScaledBids.build
+makes at scale 10, and input bids off the 1/10 grid are rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import sfm
-from .core import Bid, BidList, as_bundle, is_demanded, rat
+from .core import Bid, BidList, ScaledBids, as_bundle, is_demanded, rat
 from .errors import BadCluster, NotClearing
 from .graphs import (
     CycleEdge,
@@ -118,7 +118,7 @@ class AllocationProblem:
             if total != self.target_ext[g]:
                 raise AssertionError(f"conservation broken at good {g}")
         if any(r < 0 for r in self.residual):
-            raise AssertionError("residual went negative")
+            raise NotClearing("residual went negative; the price does not clear the target")
 
     def assert_tenth_grid(self):
         for j in self.names:
@@ -154,7 +154,7 @@ class AllocationProblem:
                     return False
         return True
 
-    def _after(self, _procedure: str):
+    def _after(self):
         if self.checks:
             self.assert_conserved()
             self.assert_tenth_grid()
@@ -209,17 +209,11 @@ def initial_problem(
     rows = {}
     weights = {}
     for lst in bidders:
-        rws = []
-        for b in lst.bids:
-            scaled = []
-            for v in b.values:
-                q = v * _SCALE
-                if q.denominator != 1:
-                    raise ValueError("input bid values must lie on the 1/10 grid")
-                scaled.append(int(q))
-            rws.append(scaled)
-        rows[lst.owner] = rws
-        weights[lst.owner] = [b.weight for b in lst.bids]
+        arr = ScaledBids.build(lst.bids, (_SCALE,))
+        if arr.scale != _SCALE:
+            raise ValueError("input bid values must lie on the 1/10 grid")
+        rows[lst.owner] = arr.vals
+        weights[lst.owner] = arr.weights
 
     total_weight = sum(sum(w) for w in weights.values())
     rejects = total_weight - sum(target)
@@ -234,7 +228,7 @@ def initial_problem(
     if verify and not names and any(target):
         raise NotClearing("no bidders but a non-empty target")
 
-    price10 = [int(x) * _SCALE for x in p]
+    price10 = ScaledBids((), _SCALE).price_ints(p)
     return AllocationProblem(names, rows, weights, (rejects, *target), price10, checks)
 
 
@@ -255,7 +249,7 @@ def non_marginals(problem: AllocationProblem) -> AllocationProblem:
                 problem.residual[g] -= w
         problem.rows[j] = keep_rows
         problem.weights[j] = keep_weights
-    problem._after("non_marginals")
+    problem._after()
     return problem
 
 
@@ -312,7 +306,7 @@ def unambiguous_marginals(
     problem.weights[bidder] = [
         w for i, w in enumerate(problem.weights[bidder]) if i not in chosen
     ]
-    problem._after("unambiguous_marginals")
+    problem._after()
     return problem
 
 
@@ -395,7 +389,7 @@ def shift_project_unshift(
 
     apply_shift(-1)
 
-    problem._after("shift_project_unshift")
+    problem._after()
     return problem
 
 
@@ -415,6 +409,8 @@ def allocate(
     function of the inputs; otherwise the deterministic graph walk of
     find_params is used.  The marginal-graph edge count strictly decreases
     across iterations (asserted), bounding the loop by |J| * C(n+1, 2).
+    A price that does not clear the target raises NotClearing, also with
+    ``verify=False``, once the residual or some bundle cannot balance.
     """
     problem = initial_problem(bidders, target, price, checks=checks, verify=verify)
     non_marginals(problem)
@@ -447,11 +443,11 @@ def allocate(
         non_marginals(problem)
 
     if any(problem.residual):
-        raise AssertionError("bid lists are empty but residual supply remains")
+        raise NotClearing("bid lists are empty but residual supply remains")
     bundles = {}
     for j in problem.names:
         bundle = tuple(problem.partial[j])
         if any(v < 0 for v in bundle):
-            raise AssertionError(f"negative final allocation for {j!r}")
+            raise NotClearing(f"negative final allocation for {j!r}")
         bundles[j] = bundle
     return Solution(bundles, problem.price, iterations, cluster_calls, cycle_calls)

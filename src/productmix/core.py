@@ -63,16 +63,18 @@ def as_price(price: Sequence[Rational], n: int | None = None) -> tuple[Fraction,
     return p
 
 
+def _integer(v, what: str) -> int:
+    """An exact integer from an int, a decimal string or a Fraction."""
+    if isinstance(v, int):
+        return v
+    q = rat(v)
+    if q.denominator != 1:
+        raise ValueError(f"{what} must be integers, got {v!r}")
+    return q.numerator
+
+
 def as_bundle(bundle: Sequence[int], n: int | None = None) -> tuple[int, ...]:
-    out = []
-    for v in bundle:
-        if not isinstance(v, int):
-            q = rat(v)
-            if q.denominator != 1:
-                raise ValueError(f"bundle entries must be integers, got {v!r}")
-            v = q.numerator
-        out.append(v)
-    x = tuple(out)
+    x = tuple(_integer(v, "bundle entries") for v in bundle)
     if n is not None and len(x) != n:
         raise ValueError(f"expected a bundle of length {n}, got {len(x)}")
     return x
@@ -129,14 +131,15 @@ class BidList:
         """Build a list from (v_1, ..., v_n, weight) rows, expanding weights.
 
         A row with integer weight w becomes |w| unit bids of sign(w); zero
-        weights are rejected.
+        weights are rejected, and so are weights that are not exact integers
+        (floats raise TypeError, other non-integers ValueError).
         """
         bids = []
         for row in rows:
             *values, weight = row
             if len(values) == 1 and isinstance(values[0], (list, tuple)):
                 values = list(values[0])
-            weight = int(weight)
+            weight = _integer(weight, "bid weights")
             if weight == 0:
                 raise ValueError("bids must have non-zero weight")
             unit = 1 if weight > 0 else -1
@@ -179,7 +182,13 @@ def _bids_of(bids) -> tuple[tuple[Bid, ...], int | None]:
 
 
 class ScaledBids:
-    """Bids and prices rescaled to a common integer grid for the kernels."""
+    """Bids and prices rescaled to a common integer grid for the kernels.
+
+    This is the one table through which ``core``, ``pricing`` and
+    ``allocation`` turn ``Fraction`` bids and prices into integers and count
+    demand bounds.  ``price_ints`` raises ValueError for a price off the
+    table's grid; it never rounds.
+    """
 
     __slots__ = ("scale", "vals", "weights")
 
@@ -198,15 +207,17 @@ class ScaledBids:
             scale = math.lcm(scale, d)
         return cls(bids, scale)
 
-    def price_ints(self, price: Sequence[Fraction]) -> list[int]:
+    def price_ints(self, price: Sequence[Rational]) -> list[int]:
+        s = self.scale
         out = []
         for x in price:
-            q = x * self.scale
+            if isinstance(x, int):
+                out.append(x * s)
+                continue
+            q = rat(x) * s
             if q.denominator != 1:
-                raise ValueError(
-                    f"price entry {x} does not live on the 1/{self.scale} grid"
-                )
-            out.append(int(q))
+                raise ValueError(f"price entry {x} does not live on the 1/{s} grid")
+            out.append(q.numerator)
         return out
 
     def utility(self, pints: list[int]) -> int:
@@ -221,6 +232,26 @@ class ScaledBids:
 
     def min_step(self, pints: list[int], smask: int) -> int:
         return pure.min_step(self.vals, pints, smask)
+
+    def bounds(self, pints: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Coordinate-wise (min, max) over the demanded bundles, reject first.
+
+        The minimum for a good sums the weights of non-marginal bids
+        demanding it; the maximum sums the weights of all bids demanding it.
+        """
+        lower = [0] * (len(pints) + 1)
+        upper = [0] * (len(pints) + 1)
+        for mask, w in zip(self.masks(pints), self.weights):
+            single = (mask & (mask - 1)) == 0
+            g = 0
+            while mask:
+                if mask & 1:
+                    upper[g] += w
+                    if single:
+                        lower[g] += w
+                mask >>= 1
+                g += 1
+        return tuple(lower), tuple(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +293,18 @@ def surplus_gap(bid: Bid, price: Sequence[Rational]):
     return best - max(rest)
 
 
-def indirect_utility(bids, price: Sequence[Rational]) -> Fraction:
-    """Sum over bids of weight * best surplus (zero for rejected bids)."""
+def _table(bids, price: Sequence[Rational]) -> tuple[ScaledBids, list[int]]:
+    """The bids' integer table on a grid that also holds the price."""
     seq, n = _bids_of(bids)
-    if not seq:
-        return Fraction(0)
     p = as_price(price, n)
     arr = ScaledBids.build(seq, (x.denominator for x in p))
-    return Fraction(arr.utility(arr.price_ints(p)), arr.scale)
+    return arr, arr.price_ints(p)
+
+
+def indirect_utility(bids, price: Sequence[Rational]) -> Fraction:
+    """Sum over bids of weight * best surplus (zero for rejected bids)."""
+    arr, pints = _table(bids, price)
+    return Fraction(arr.utility(pints), arr.scale)
 
 
 def demanded_bundle(bids, price: Sequence[Rational]) -> tuple[int, ...]:
@@ -279,15 +314,11 @@ def demanded_bundle(bids, price: Sequence[Rational]) -> tuple[int, ...]:
     Raises MarginalPrice when some bid is marginal, in which case no single
     bundle is canonical and callers must perturb the price instead.
     """
-    seq, n = _bids_of(bids)
-    if not seq:
-        n = len(tuple(price)) if n is None else n
-        return (0,) * (n + 1)
-    p = as_price(price, n)
-    arr = ScaledBids.build(seq, (x.denominator for x in p))
-    bundle = arr.bundle(arr.price_ints(p))
+    arr, pints = _table(bids, price)
+    bundle = arr.bundle(pints)
     if bundle is None:
-        raise MarginalPrice(f"some bid is marginal at {tuple(map(str, p))}")
+        p = tuple(str(Fraction(x, arr.scale)) for x in pints)
+        raise MarginalPrice(f"some bid is marginal at {p}")
     return tuple(bundle)
 
 
@@ -298,24 +329,8 @@ def demand_interval(bids, price: Sequence[Rational]) -> tuple[tuple[int, ...], t
     The minimum for a good counts only non-marginal bids demanding it; the
     maximum counts every bid that demands it.
     """
-    seq, n = _bids_of(bids)
-    if not seq:
-        n = len(tuple(price)) if n is None else n
-        z = (0,) * (n + 1)
-        return z, z
-    p = as_price(price, n)
-    arr = ScaledBids.build(seq, (x.denominator for x in p))
-    masks = arr.masks(arr.price_ints(p))
-    mins = [0] * (n + 1)
-    maxs = [0] * (n + 1)
-    for mask, w in zip(masks, arr.weights):
-        single = (mask & (mask - 1)) == 0
-        for g in range(n + 1):
-            if (mask >> g) & 1:
-                maxs[g] += w
-                if single:
-                    mins[g] += w
-    return tuple(mins), tuple(maxs)
+    arr, pints = _table(bids, price)
+    return arr.bounds(pints)
 
 
 def project_bid(bid: Bid, price: Sequence[Rational]) -> Bid:
@@ -390,17 +405,18 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
     (zero-priced) coordinates.
     """
     x = as_bundle(bundle, blist.n)
-    p = as_price(price, blist.n)
+    arr, pints = _table(blist, price)
     if any(v < 0 for v in x):
         return False
     rejects = blist.total_weight() - sum(x)
     ext = (rejects,) + x
-    mins, maxs = demand_interval(blist, p)
+    mins, maxs = arr.bounds(pints)
     if any(not (mins[g] <= ext[g] <= maxs[g]) for g in range(blist.n + 1)):
         return False
     u = valuation(blist, x)
-    cost = sum(p[j] * x[j] for j in range(blist.n))
-    return u - cost == indirect_utility(blist, p)
+    # u - p.x == f(p), compared on the table's grid
+    cost = sum(pj * xj for pj, xj in zip(pints, x))
+    return u * arr.scale - cost == arr.utility(pints)
 
 
 def total_weight(bids) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sfm
-from .core import Bid, BidList, ScaledBids, as_bundle, as_price, rat
+from .core import Bid, BidList, ScaledBids, as_bundle, as_price, indirect_utility
 from .errors import InfeasibleTarget, StepUnbounded
 
 
@@ -87,14 +87,12 @@ class PriceProblem:
             # Integrality of the minimal clearing price (and the step rules)
             # rests on integer bid values; fractional lists are rejected.
             raise ValueError("price finding requires integer bid values")
-        max_entry = max((v for b in self.bids for v in b.values), default=Fraction(0))
-        self.price_cap = int(max_entry) if max_entry.denominator == 1 else int(max_entry) + 1
+        self.price_cap = max((v for row in self.arr.vals for v in row), default=0)
 
     # -- exact evaluation helpers (scaled integers) -------------------------
 
     def _pints(self, price) -> list[int]:
-        s = self.arr.scale
-        return [int(x) * s if isinstance(x, int) else int(rat(x) * s) for x in price]
+        return self.arr.price_ints(price)
 
     def _g(self, pints: list[int]) -> int:
         """scale * g at the given scaled price."""
@@ -113,13 +111,7 @@ class PriceProblem:
 def lyapunov(pp: PriceProblem, price) -> Fraction:
     """g(p) = aggregate indirect utility at p plus the cost of the target."""
     p = as_price(price, pp.n)
-    try:
-        pints = pp.arr.price_ints(p)
-        return Fraction(pp._g(pints), pp.arr.scale)
-    except ValueError:
-        arr = ScaledBids.build(pp.bids, (x.denominator for x in p))
-        g = arr.utility(arr.price_ints(p))
-        return Fraction(g, arr.scale) + sum(t * x for t, x in zip(pp.target, p))
+    return indirect_utility(pp.bids, p) + sum(t * x for t, x in zip(pp.target, p))
 
 
 def slope(pp: PriceProblem, price, direction) -> Fraction:
@@ -140,28 +132,14 @@ def demand_bounds(pp: PriceProblem, price) -> DemandBounds:
     ``forced`` collects goods whose lower bound exceeds the target, and
     ``settled`` those whose upper bound does not.
     """
-    pints = pp._pints(price)
-    masks = pp.arr.masks(pints)
+    lower, upper = pp.arr.bounds(pp._pints(price))
     n = pp.n
-    lower = [0] * (n + 1)
-    upper = [0] * (n + 1)
-    for mask, w in zip(masks, pp.arr.weights):
-        single = (mask & (mask - 1)) == 0
-        g = 0
-        m = mask
-        while m:
-            if m & 1:
-                upper[g] += w
-                if single:
-                    lower[g] += w
-            m >>= 1
-            g += 1
     forced = frozenset(i for i in range(1, n + 1) if lower[i] > pp.target[i - 1])
     settled = frozenset(i for i in range(1, n + 1) if upper[i] <= pp.target[i - 1])
-    return DemandBounds(tuple(lower), tuple(upper), forced, settled)
+    return DemandBounds(lower, upper, forced, settled)
 
 
-def steepest_direction(pp: PriceProblem, price, sfm_method: str = "auto") -> frozenset[int]:
+def steepest_direction(pp: PriceProblem, price) -> frozenset[int]:
     """Minimal set with the most negative slope, or the empty set at optimum."""
     pints = pp._pints(price)
     bounds = demand_bounds(pp, price)
@@ -176,32 +154,38 @@ def steepest_direction(pp: PriceProblem, price, sfm_method: str = "auto") -> fro
             direction = forced | {remap[k] for k in t}
             return pp._slope(pints, direction)
 
-        bottom = sfm.minimal_minimiser(sfm.SetFunction(len(free), h), method=sfm_method)
+        bottom = sfm.minimal_minimiser(sfm.SetFunction(len(free), h))
         candidate = forced | {remap[k] for k in bottom}
     if not candidate or pp._slope(pints, candidate) >= 0:
         return frozenset()
     return frozenset(candidate)
 
 
-def _apply_step(price: list[int], direction, length: int) -> None:
-    for i in direction:
-        price[i - 1] += length
-
-
-def min_up(pp: PriceProblem, sfm_method: str = "auto") -> tuple[tuple[int, ...], DescentTrace]:
-    """Unit-step steepest descent from the origin to the minimal clearing price."""
+def _descend(pp: PriceProblem, step_length) -> tuple[tuple[int, ...], DescentTrace]:
+    """Steepest descent from the origin, moving step_length(pp, p, S) along S."""
     price = [0] * pp.n
     steps: list[DescentStep] = []
     while True:
-        direction = steepest_direction(pp, price, sfm_method)
+        direction = steepest_direction(pp, price)
         if not direction:
             break
-        steps.append(DescentStep(tuple(price), direction, 1))
-        _apply_step(price, direction, 1)
+        lam = step_length(pp, price, direction)
+        steps.append(DescentStep(tuple(price), direction, lam))
+        for i in direction:
+            price[i - 1] += lam
         if max(price) > pp.price_cap:
             raise InfeasibleTarget("price search left the feasibility box")
     final = tuple(price)
     return final, DescentTrace(steps, final)
+
+
+def _unit_step(pp: PriceProblem, price, direction) -> int:
+    return 1
+
+
+def min_up(pp: PriceProblem) -> tuple[tuple[int, ...], DescentTrace]:
+    """Unit-step steepest descent from the origin to the minimal clearing price."""
+    return _descend(pp, _unit_step)
 
 
 def step_length_binary(pp: PriceProblem, price, direction) -> int:
@@ -269,29 +253,16 @@ def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
             return lam
 
 
-def long_step_min_up(
-    pp: PriceProblem, method: str = "binary", sfm_method: str = "auto"
-) -> tuple[tuple[int, ...], DescentTrace]:
+def long_step_min_up(pp: PriceProblem, method: str = "binary") -> tuple[tuple[int, ...], DescentTrace]:
     """Steepest descent with aggregated steps; same trajectory as min_up.
 
     ``method`` selects the step rule: "binary" or "demand_change".
     """
+    # looked up at call time, so that wrapping a rule reaches every call
     if method == "binary":
         step_length = step_length_binary
     elif method == "demand_change":
         step_length = step_length_demand_change
     else:
         raise ValueError(f"unknown step length method {method!r}")
-    price = [0] * pp.n
-    steps: list[DescentStep] = []
-    while True:
-        direction = steepest_direction(pp, price, sfm_method)
-        if not direction:
-            break
-        lam = step_length(pp, price, direction)
-        steps.append(DescentStep(tuple(price), direction, lam))
-        _apply_step(price, direction, lam)
-        if max(price) > pp.price_cap:
-            raise InfeasibleTarget("price search left the feasibility box")
-    final = tuple(price)
-    return final, DescentTrace(steps, final)
+    return _descend(pp, step_length)

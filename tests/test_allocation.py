@@ -41,6 +41,11 @@ class TestInitialProblem:
         solution = allocate([], (0, 0), (0, 0))
         assert solution.bundles == {} and solution.iterations == 0
 
+    def test_values_off_the_tenth_grid(self):
+        lst = BidList.from_rows("third", [("1/3", 1, 1)])
+        with pytest.raises(ValueError):
+            initial_problem([lst], (1, 0), (0, 0), verify=False)
+
 
 class TestNonMarginals:
     def test_fig_style_reduction(self, alice, bob):
@@ -226,6 +231,24 @@ class TestAllocate:
         assert tuple(total) == (1, 1)
         for lst in (alice, bob):
             assert is_demanded(lst, solution.real_bundle(lst.owner), (5, 5))
+
+    @pytest.mark.parametrize("checks", [False, True])
+    @pytest.mark.parametrize(
+        "target, price",
+        [
+            ((1, 1), (9, 9)),
+            ((1, 1), (0, 0)),
+            ((1, 1), (5, 3)),
+            ((1, 1), (2, 2)),
+            ((0, 0), (0, 4)),
+        ],
+    )
+    def test_unchecked_non_clearing_price(self, alice, bob, target, price, checks):
+        # none of these prices clears its target; without the membership
+        # check the residual is left over or goes negative, or a bidder ends
+        # with a negative bundle
+        with pytest.raises(NotClearing):
+            allocate([alice, bob], target, price, verify=False, checks=checks)
 
     def test_conservation_checks_enabled(self):
         j = BidList.from_rows("j", [(3, 3, 1), (3, 3, 1)])

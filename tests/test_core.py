@@ -200,6 +200,17 @@ class TestBidList:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             BidList.from_rows("w", [(3.5, 1, 1)])
+        with pytest.raises(TypeError):
+            BidList.from_rows("w", [(3, 1, 1.5)])
+
+    def test_non_integral_weights_rejected(self):
+        for weight in (Fraction(3, 2), "1.5"):
+            with pytest.raises(ValueError):
+                BidList.from_rows("w", [(3, 1, weight)])
+
+    def test_integral_weights_in_any_exact_form(self):
+        for weight in (2, Fraction(4, 2), "2"):
+            assert len(BidList.from_rows("w", [(3, 1, weight)])) == 2
 
 
 class TestDemandInterval:

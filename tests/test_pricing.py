@@ -35,6 +35,17 @@ class TestLyapunov:
         for price in [(0, 0), (3, 7), (Fraction(1, 2), 1)]:
             assert lyapunov(pp, price) == 0
 
+    def test_fractional_price_matches_definition(self, worked):
+        # g(p) = sum of w * max(0, max_i(v_i - p_i)) + t.p, in Fractions
+        for price in [(Fraction(7, 2), 4), (Fraction(1, 3), Fraction(5, 2)), ("0.5", 9)]:
+            p = [Fraction(x) for x in price]
+            f = sum(
+                b.weight * max([Fraction(0)] + [v - x for v, x in zip(b.values, p)])
+                for b in worked.bids
+            )
+            t = sum(ti * x for ti, x in zip(worked.target, p))
+            assert lyapunov(worked, price) == f + t
+
     def test_reserve_count(self, worked):
         assert worked.reserve_count == 3
 
@@ -181,6 +192,17 @@ class TestIntegrality:
         lst = BidList.from_rows("dec", [("5.5", 1, 1)])
         with pytest.raises(ValueError):
             PriceProblem([lst], (1, 0))
+
+    def test_fractional_prices_rejected(self, worked):
+        # the descent works on integral prices; a fractional one must raise
+        # rather than be rounded to a neighbouring integral price
+        with pytest.raises(ValueError):
+            demand_bounds(worked, (Fraction(7, 2), 4))
+        with pytest.raises(ValueError):
+            steepest_direction(worked, (Fraction(7, 2), 4))
+        for step_length in (step_length_binary, step_length_demand_change):
+            with pytest.raises(ValueError):
+                step_length(worked, (Fraction(1, 2), Fraction(1, 2)), {1, 2})
 
 
 class TestCertificates:
