@@ -220,10 +220,7 @@ def initial_problem(
     if rejects < 0:
         raise NotClearing("target exceeds the total bid weight")
     if verify and names:
-        aggregate = BidList.aggregate(bidders)
-        if any(v.denominator != 1 for b in aggregate.bids for v in b.values):
-            raise ValueError("the membership check requires integer bid values")
-        if not is_demanded(aggregate, target, p):
+        if not is_demanded(BidList.aggregate(bidders), target, p):
             raise NotClearing("target is not demanded at the given price")
     if verify and not names and any(target):
         raise NotClearing("no bidders but a non-empty target")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from . import sfm
 from .errors import InfeasibleBundle, MarginalPrice
 from .kernels import pure
 
@@ -181,20 +182,27 @@ def _bids_of(bids) -> tuple[tuple[Bid, ...], int | None]:
     return seq, (seq[0].n if seq else None)
 
 
+def _on_grid(v: Fraction, scale: int) -> int:
+    """v * scale for a value v on the 1/scale grid."""
+    if scale % v.denominator:
+        raise ValueError(f"bid value {v} does not live on the 1/{scale} grid")
+    return v.numerator * (scale // v.denominator)
+
+
 class ScaledBids:
     """Bids and prices rescaled to a common integer grid for the kernels.
 
     This is the one table through which ``core``, ``pricing`` and
     ``allocation`` turn ``Fraction`` bids and prices into integers and count
-    demand bounds.  ``price_ints`` raises ValueError for a price off the
-    table's grid; it never rounds.
+    demand bounds.  The constructor and ``price_ints`` raise ValueError for
+    a bid value or price off the table's grid; neither ever rounds.
     """
 
     __slots__ = ("scale", "vals", "weights")
 
     def __init__(self, bids: Sequence[Bid], scale: int):
         self.scale = scale
-        self.vals = [[int(v * scale) for v in b.values] for b in bids]
+        self.vals = [[_on_grid(v, scale) for v in b.values] for b in bids]
         self.weights = [b.weight for b in bids]
 
     @classmethod
@@ -371,7 +379,7 @@ def shift_bids(blist: BidList, good: int, delta: Rational) -> BidList:
 
 
 # ---------------------------------------------------------------------------
-# Valuation and demand membership (via price finding)
+# Valuation (via price finding) and demand membership (via local optimality)
 # ---------------------------------------------------------------------------
 
 def valuation(blist: BidList, bundle: Sequence[int]) -> Fraction:
@@ -399,10 +407,17 @@ def valuation(blist: BidList, bundle: Sequence[int]) -> Fraction:
 def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]) -> bool:
     """Exact membership test: is the bundle demanded at this price?
 
-    Uses the identity that a bundle is demanded exactly when its value minus
-    its cost equals the indirect utility, with a demand-interval prune that
-    also rules out bundles exceeding what the list can supply at boundary
-    (zero-priced) coordinates.
+    A bundle x is demanded at p exactly when p minimises g_x(q) = f(q) + x.q,
+    f being the list's indirect utility.  On the grid that holds the bids and
+    the price, g_x of a valid list is L-natural convex, so p minimises it
+    exactly when no step q = p +- e^S lowers it (Murota, Discrete Convex
+    Analysis, 2003, section 7).  Both step families are checked by one exact
+    submodular minimisation each, after a demand-interval prune that rules out
+    bundles outside the coordinate bounds of the demanded bundles (including
+    more than the list can supply at zero-priced coordinates).
+
+    The list is assumed valid, as ``valuation`` assumes; for an invalid list
+    the answer carries no meaning.
     """
     x = as_bundle(bundle, blist.n)
     arr, pints = _table(blist, price)
@@ -413,10 +428,22 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
     mins, maxs = arr.bounds(pints)
     if any(not (mins[g] <= ext[g] <= maxs[g]) for g in range(blist.n + 1)):
         return False
-    u = valuation(blist, x)
-    # u - p.x == f(p), compared on the table's grid
-    cost = sum(pj * xj for pj, xj in zip(pints, x))
-    return u * arr.scale - cost == arr.utility(pints)
+    base = arr.utility(pints)
+    for sign in (1, -1):
+
+        def step(s, sign=sign):
+            """scale * (g_x(p + sign * e^S) - g_x(p)), steps of one grid unit."""
+            if not s:
+                return 0
+            q = list(pints)
+            for i in s:
+                q[i - 1] += sign
+            return arr.utility(q) - base + sign * sum(x[i - 1] for i in s)
+
+        _, low = sfm.minimise(sfm.SetFunction(blist.n, step))
+        if low < 0:
+            return False
+    return True
 
 
 def total_weight(bids) -> int:

@@ -20,8 +20,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceFailure
 
 BRUTE_FORCE_LIMIT = 16
@@ -129,6 +127,8 @@ def _exact_gap_check(memo, corral_exact, lams):
 
 def _affine_minimiser(S):
     """Coefficients of the affine-hull point of minimum norm (Wolfe's step)."""
+    import numpy as np
+
     m = S.shape[0]
     M = np.empty((m + 1, m + 1))
     M[0, 0] = 0.0
@@ -147,6 +147,8 @@ def _affine_minimiser(S):
 
 def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
     """Fujishige-Wolfe over the given ground elements with exact rounding."""
+    import numpy as np  # loaded here: only ground sets beyond enumeration need it
+
     ground = tuple(ground)
     m = len(ground)
     memo = _RunBest(outer_memo)

@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite."""
 
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from productmix import BidList
+from productmix import BidList, demand_interval, indirect_utility, valuation
 from productmix.sfm import SetFunction
 
 
@@ -69,6 +70,24 @@ def random_small_list(rng: Random, max_negatives: int = 3) -> BidList:
         rows.append(tuple(rng.randint(0, 10) for _ in range(n)) + (1,))
     rng.shuffle(rows)
     return BidList.from_rows("anon", rows, n=n)
+
+
+def demanded_by_valuation(blist: BidList, bundle, price) -> bool:
+    """Membership by a second price search: the reference for is_demanded.
+
+    Behind the demand-interval prune, a bundle x is demanded at p exactly when
+    its value minus its cost equals the indirect utility:
+    valuation(x) - p.x == f(p).  Needs a valid list with integer bids.
+    """
+    x = tuple(bundle)
+    if any(v < 0 for v in x):
+        return False
+    lower, upper = demand_interval(blist, price)
+    ext = (blist.total_weight() - sum(x),) + x
+    if any(not lo <= v <= hi for lo, v, hi in zip(lower, ext, upper)):
+        return False
+    cost = sum(Fraction(p) * v for p, v in zip(price, x))
+    return valuation(blist, x) - cost == indirect_utility(blist, price)
 
 
 def is_subsequence(short, long):

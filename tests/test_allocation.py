@@ -41,6 +41,13 @@ class TestInitialProblem:
         solution = allocate([], (0, 0), (0, 0))
         assert solution.bundles == {} and solution.iterations == 0
 
+    def test_membership_check_on_the_tenth_grid(self):
+        lst = BidList.from_rows("tenths", [("5.5", "0.3", 1), ("1.2", "3.5", 1)])
+        solution = allocate([lst], (1, 1), (5, 3))
+        assert solution.real_bundle("tenths") == (1, 1)
+        with pytest.raises(NotClearing):
+            allocate([lst], (1, 1), (6, 3))
+
     def test_values_off_the_tenth_grid(self):
         lst = BidList.from_rows("third", [("1/3", 1, 1)])
         with pytest.raises(ValueError):

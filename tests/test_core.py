@@ -19,6 +19,7 @@ from productmix import (
     surplus_gap,
     valuation,
 )
+from productmix.core import ScaledBids
 from productmix.errors import InfeasibleBundle, MarginalPrice
 
 
@@ -211,6 +212,20 @@ class TestBidList:
     def test_integral_weights_in_any_exact_form(self):
         for weight in (2, Fraction(4, 2), "2"):
             assert len(BidList.from_rows("w", [(3, 1, weight)])) == 2
+
+
+class TestScaledBids:
+    def test_values_scale_exactly(self):
+        arr = ScaledBids([bid("1/2", 3, w=-1), bid("7/4", 0)], 4)
+        assert arr.vals == [[2, 12], [7, 0]]
+        assert arr.weights == [-1, 1]
+
+    def test_values_off_the_grid_rejected(self):
+        # truncating 1/2 to 0 on the unit grid would change every answer
+        with pytest.raises(ValueError):
+            ScaledBids([bid("1/2")], 1)
+        with pytest.raises(ValueError):
+            ScaledBids([bid(1, "1/3")], 10)
 
 
 class TestDemandInterval:

@@ -6,19 +6,26 @@ prices arbitrarily close by.  For two goods that definition is computable
 directly: perturb the price into each of the adjacent unique-demand regions
 (eight sign/order patterns around the price), collect the unique bundles,
 and take the exact integer hull.  None of that shares code with the
-valuation-based membership oracle, the price search or the allocator, so
-agreement here validates all three against the definition itself.
+membership test, the price search or the allocator, so agreement here
+validates all three against the definition itself.
+
+For more goods, the local-optimality membership test is checked against the
+rule it replaced: a second price search through ``valuation``.
 """
 
 from fractions import Fraction
 from random import Random
 
+from helpers import demanded_by_valuation
 from productmix import (
+    Bid,
     BidList,
     GenConfig,
     PriceProblem,
     allocate,
+    demand_interval,
     demanded_bundle,
+    generate_instance,
     generate_list,
     indirect_utility,
     is_demanded,
@@ -100,14 +107,26 @@ def valid_two_good_lists():
     return lists
 
 
+def halved(lst):
+    """The same valid list with every bid value halved."""
+    bids = [Bid(tuple(v / 2 for v in b.values), b.weight) for b in lst.bids]
+    return BidList(f"{lst.owner}/2", bids, n=lst.n)
+
+
 class TestMembershipAgainstDefinition:
     def test_is_demanded_matches_hull_definition(self):
         rng = Random("membership")
-        for lst in valid_two_good_lists():
+        halves = Random("membership-halves")
+        lists = valid_two_good_lists()
+        for lst in lists + [halved(lst) for lst in lists]:
             box = bundle_box(lst)
             top = int(lst.max_entry()) + 1
             prices = {(rng.randint(0, top), rng.randint(0, top)) for _ in range(6)}
             prices |= {(0, 0), (top, top)}
+            prices |= {
+                (Fraction(halves.randint(0, 2 * top), 2), Fraction(halves.randint(0, 2 * top), 2))
+                for _ in range(4)
+            }
             for price in prices:
                 expected = demand_set_by_definition(lst, price, box)
                 got = {q for q in box if is_demanded(lst, q, price)}
@@ -124,6 +143,79 @@ class TestMembershipAgainstDefinition:
                 for q in demand_set_by_definition(lst, price, box):
                     # a demanded bundle's value solves the utility identity
                     assert valuation(lst, q) == f + price[0] * q[0] + price[1] * q[1]
+
+
+def bundles_near(lst, price, rng, draws):
+    """Bundles demanded at the price and their neighbours.
+
+    The demanded ones are the unique bundles at nearby prices: offsets of
+    distinct sizes below 1/2 leave every integer bid non-marginal.
+    """
+    n = lst.n
+    demanded = set()
+    for _ in range(draws):
+        sizes = rng.sample(range(1, n + 1), n)
+        offsets = [Fraction(rng.choice((1, -1)) * k, 2 * n + 2) for k in sizes]
+        demanded.add(demanded_bundle(lst, [p + d for p, d in zip(price, offsets)])[1:])
+    # neighbours move goods whose demand is ambiguous at the price, where
+    # the interval prune cannot decide
+    lower, upper = demand_interval(lst, price)
+    loose = [g for g in range(n) if lower[g + 1] < upper[g + 1]] or list(range(n))
+    out = set(demanded)
+    for x in demanded:
+        goods = rng.sample(loose, min(len(loose), 3))
+        for g in goods:
+            for d in (1, -1):
+                out.add(tuple(v + d * (k == g) for k, v in enumerate(x)))
+        for g, h in zip(goods, goods[1:]):
+            # one item moved between two goods: the reject count stays put
+            out.add(tuple(v + (k == g) - (k == h) for k, v in enumerate(x)))
+    return out
+
+
+class TestMembershipAgainstValuation:
+    def check(self, n, q, M, bidders, seeds, draws):
+        """Compare on each list, the reserve and their aggregate; tally answers.
+
+        Prices are the centre (where the generated bundles are demanded) and
+        its integral neighbours.  Returns how often each answer came up, and
+        how many negative answers passed the demand-interval prune, so that
+        the submodular minimisations decided them.
+        """
+        answers = {True: 0, False: 0, "past prune": 0}
+        for seed in seeds:
+            rng = Random(f"membership-valuation:{n}:{seed}")
+            lists, target = generate_instance(GenConfig(n=n, q=q, M=M), bidders, rng)
+            # the auctioneer's zero bids, which absorb unsold items
+            lists.append(BidList.from_rows("reserve", [(0,) * n + (1,)] * (sum(target) + 1)))
+            lists.append(BidList.aggregate(lists))
+            centre = (M // 2,) * n
+            goods = rng.sample(range(n), min(n, 2))
+            prices = [centre] + [
+                tuple(p + d * (k == g) for k, p in enumerate(centre))
+                for g in goods
+                for d in (1, -1)
+            ]
+            for lst in lists:
+                for price in prices:
+                    lower, upper = demand_interval(lst, price)
+                    for x in sorted(bundles_near(lst, price, rng, draws)):
+                        expected = demanded_by_valuation(lst, x, price)
+                        assert is_demanded(lst, x, price) == expected, (lst, x, price)
+                        answers[expected] += 1
+                        ext = (lst.total_weight() - sum(x),) + x
+                        inside = all(lo <= v <= hi for lo, v, hi in zip(lower, ext, upper))
+                        answers["past prune"] += inside and not expected
+        return answers
+
+    def test_three_goods(self):
+        answers = self.check(n=3, q=6, M=20, bidders=3, seeds=range(4), draws=4)
+        assert answers[True] and answers[False] and answers["past prune"]
+
+    def test_twenty_goods_runs_wolfe(self):
+        # ground sets of 20 goods exceed the enumeration limit of 16
+        answers = self.check(n=20, q=4, M=100, bidders=2, seeds=range(1), draws=1)
+        assert answers[True] and answers[False] and answers["past prune"]
 
 
 class TestPricingAgainstDefinition:

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
 
 from helpers import enumerate_minimum, intersection_of_minimisers, random_submodular
+import productmix
 from productmix import PriceProblem
 from productmix.sfm import (
     SetFunction,
@@ -115,3 +119,35 @@ class TestSubmodularityChecker:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             check_submodular(SetFunction(13, lambda s: 0))
+
+
+NUMPY_PROBE = """
+import sys
+from productmix import (
+    BidList, PriceProblem, SetFunction, check_validity, is_demanded, long_step_min_up, minimise
+)
+lst = BidList.from_rows("b", [(2, 4, 0, 1), (4, 2, 0, 1), (4, 4, 0, -1), (6, 6, 0, 1)])
+assert check_validity(lst).is_valid
+price, _ = long_step_min_up(PriceProblem([lst], (1, 1, 0)))
+assert is_demanded(lst, (1, 1, 0), price)
+print("numpy" in sys.modules)
+minimise(SetFunction(20, lambda s: len(s) - 2 * len(s & {3, 7})))
+print("numpy" in sys.modules)
+"""
+
+
+class TestImport:
+    def test_numpy_loaded_only_by_wolfe(self):
+        src = os.path.dirname(os.path.dirname(productmix.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        # validity, and pricing and membership on 3 goods, stay below the
+        # enumeration limit
+        assert out.stdout.split() == ["False", "True"]
