@@ -171,6 +171,8 @@ def _decimal(value: Fraction) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    if args.budget < 0:
+        raise ParseError(f"--budget must be non-negative, got {args.budget}", field="budget")
     auction = parse_auction(args.file)
     all_valid = True
     for lst in auction.bidders:

@@ -11,6 +11,17 @@ enumeration is exponential only in min(number of goods, number of negative
 bids); past a configurable budget the checker reports "undecided" rather
 than guessing.
 
+Bid values must be non-negative (check_validity raises ValueError
+otherwise): the region reduction assumes valuations in the non-negative
+orthant.  The check runs on integers.  One core.ScaledBids table puts every
+value on a common grid and never rounds.  Subsets are enumerated in the
+sorted order of their integer rows, which is the Fraction order because the
+scale is positive, and a subset's agreements are read from a table of
+pairwise agreements between its members.  A region's balance is the sum of
+the weights of the rows inside it; different subsets often share an anchor,
+so each region's balance is counted once per call.  Only a witness's anchor
+is turned back into Fractions.
+
 brute_force_valid is an independent desk-scale oracle used by the tests: it
 sweeps, per pair of goods, the exact breakpoint grid of prices at which the
 set of bids marginal on that pair can change, so a clean sweep is exhaustive.
@@ -18,12 +29,13 @@ set of bids marginal on that pair can change, so a clean sweep is exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 from typing import Iterable, Optional
 
-from .core import Bid, BidList
+from .core import Bid, BidList, ScaledBids, rat
 from .errors import EmptySet, ScaleExceeded
 
 DEFAULT_BUDGET = 200_000
@@ -54,25 +66,16 @@ class RegionQuery:
 def _values(bid) -> tuple[Fraction, ...]:
     if isinstance(bid, Bid):
         return bid.values
-    return tuple(Fraction(v) for v in bid)
+    return tuple(rat(v) for v in bid)
 
 
-def contains(query: RegionQuery, bid) -> bool:
-    """Exact membership of the bid's valuation vector in the region."""
-    x = _values(bid)
-    y = query.anchor
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    if any(v < 0 for v in x):
-        return False
-    i = query.i - 1
-    if query.kind == "H":
-        return x[i] == y[i] and all(xv <= yv for xv, yv in zip(x, y))
-    j = query.j - 1
-    beta = x[i] - y[i]
-    if beta != x[j] - y[j] or beta < 0:
-        return False
-    return all(xv - beta <= yv for xv, yv in zip(x, y))
+def _md(vectors) -> tuple:
+    return tuple(max(col) for col in zip(*vectors))
+
+
+def _mdF(i: int, vectors) -> tuple:
+    base = min(v[i - 1] for v in vectors)
+    return tuple(base + t for t in _md([tuple(x - v[i - 1] for x in v) for v in vectors]))
 
 
 def md(bids: Iterable) -> tuple[Fraction, ...]:
@@ -80,7 +83,7 @@ def md(bids: Iterable) -> tuple[Fraction, ...]:
     vectors = [_values(b) for b in bids]
     if not vectors:
         raise EmptySet("md of an empty set")
-    return tuple(max(col) for col in zip(*vectors))
+    return _md(vectors)
 
 
 def mdF(i: int, bids: Iterable) -> tuple[Fraction, ...]:
@@ -88,29 +91,59 @@ def mdF(i: int, bids: Iterable) -> tuple[Fraction, ...]:
     vectors = [_values(b) for b in bids]
     if not vectors:
         raise EmptySet("mdF of an empty set")
-    base = min(v[i - 1] for v in vectors)
-    shifted = [tuple(x - v[i - 1] for x in v) for v in vectors]
-    top = tuple(max(col) for col in zip(*shifted))
-    return tuple(base + t for t in top)
+    return _mdF(i, vectors)
 
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """The verdict, its witness region and the subsets enumerated for it.
+
+    regions_counted is the number of distinct region balances summed (a
+    region shared by several subsets counts once); it records work, not the
+    verdict, so report equality ignores it.
+    """
+
     status: str  # "valid" | "invalid" | "undecided"
     witness: Optional[RegionQuery] = None
     subsets_checked: int = 0
+    regions_counted: int = field(default=0, compare=False)
 
     @property
     def is_valid(self) -> bool:
         return self.status == "valid"
 
 
-def _region_is_negative(query: RegionQuery, bids) -> bool:
-    balance = 0
-    for b in bids:
-        if contains(query, b):
-            balance += 1 if b.weight > 0 else -1
-    return balance < 0
+def _balance(rows, anchor: tuple[int, ...], i: int, j: Optional[int]) -> int:
+    """Sum of the weights of the rows inside H(i) (j None) or F(i, j).
+
+    Rows are (values, weight) pairs on the anchor's integer grid.
+    """
+    yi = anchor[i - 1]
+    if j is None:
+        return sum(w for x, w in rows if x[i - 1] == yi and all(map(le, x, anchor)))
+    yj = anchor[j - 1]
+    total = 0
+    for x, w in rows:
+        beta = x[i - 1] - yi
+        if beta < 0 or x[j - 1] - yj != beta:
+            continue
+        if all(xv - beta <= yv for xv, yv in zip(x, anchor)):
+            total += w
+    return total
+
+
+def _agreements(negs, tests) -> list[list[int]]:
+    """agree[a][b] has bit t set when rows a and b agree on tests[t].
+
+    Test ("H", i, None) compares coordinate i, test ("F", i, j) the
+    difference of coordinates i and j.  Agreement is an equivalence, so a
+    subset agrees on a test exactly when each member agrees with the first.
+    """
+    keys = [[v[i - 1] if j is None else v[i - 1] - v[j - 1] for _, i, j in tests] for v in negs]
+    return [
+        [sum(1 << t for t, (x, y) in enumerate(zip(ka, kb)) if x == y) for kb in keys]
+        for ka in keys
+    ]
 
 
 def check_validity(blist: BidList, budget: int = DEFAULT_BUDGET) -> ValidityReport:
@@ -119,32 +152,50 @@ def check_validity(blist: BidList, budget: int = DEFAULT_BUDGET) -> ValidityRepo
     Valid lists pass every anchored region check; an invalid list yields a
     witness region holding more negative than positive bids.  Lists with no
     negative bids are valid outright.  When the subset enumeration exceeds
-    the budget the verdict is "undecided" (never a wrong answer).
+    the budget the verdict is "undecided" (never a wrong answer).  Raises
+    ValueError for a negative budget or a negative bid value.
     """
-    n = blist.n
-    negatives = [b for b in blist.bids if b.weight < 0]
-    if not negatives:
+    if budget < 0:
+        raise ValueError(f"the subset budget must be non-negative, got {budget}")
+    table = ScaledBids.build(blist.bids)
+    rows = [(tuple(x), w) for x, w in zip(table.vals, table.weights)]
+    if any(v < 0 for x, _ in rows for v in x):
+        raise ValueError("bid values must be non-negative")
+    unique_negs = sorted({x for x, w in rows if w < 0})
+    if not unique_negs:
         return ValidityReport("valid")
-    unique_negs = sorted({b.values for b in negatives})
+    n = blist.n
+    # H(i) for each good, then F(i, j) for each pair: the order in which a
+    # subset's regions are checked.
+    tests = [("H", i, None) for i in range(1, n + 1)]
+    tests += [("F", i, j) for i, j in combinations(range(1, n + 1), 2)]
+    agree = _agreements(unique_negs, tests)
+    counted = set()
     checked = 0
     for size in range(1, min(n + 1, len(unique_negs)) + 1):
-        for combo in combinations(unique_negs, size):
+        for combo in combinations(range(len(unique_negs)), size):
             checked += 1
             if checked > budget:
-                return ValidityReport("undecided", subsets_checked=checked - 1)
-            for i in range(1, n + 1):
-                ref = combo[0][i - 1]
-                if all(v[i - 1] == ref for v in combo):
-                    query = RegionQuery("H", md(combo), i)
-                    if _region_is_negative(query, blist.bids):
-                        return ValidityReport("invalid", query, checked)
-            for i, j in combinations(range(1, n + 1), 2):
-                ref = combo[0][i - 1] - combo[0][j - 1]
-                if all(v[i - 1] - v[j - 1] == ref for v in combo):
-                    query = RegionQuery("F", mdF(i, combo), i, j)
-                    if _region_is_negative(query, blist.bids):
-                        return ValidityReport("invalid", query, checked)
-    return ValidityReport("valid", subsets_checked=checked)
+                return ValidityReport("undecided", None, checked - 1, len(counted))
+            first = agree[combo[0]]
+            mask = first[combo[0]]
+            for k in combo[1:]:
+                mask &= first[k]
+            if not mask:
+                continue
+            members = [unique_negs[k] for k in combo]
+            for t, (kind, i, j) in enumerate(tests):
+                if not mask >> t & 1:
+                    continue
+                anchor = _md(members) if j is None else _mdF(i, members)
+                if (kind, anchor, i, j) in counted:
+                    continue
+                counted.add((kind, anchor, i, j))
+                if _balance(rows, anchor, i, j) < 0:
+                    point = tuple(Fraction(a, table.scale) for a in anchor)
+                    witness = RegionQuery(kind, point, i, j)
+                    return ValidityReport("invalid", witness, checked, len(counted))
+    return ValidityReport("valid", None, checked, len(counted))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from productmix import BidList, demand_interval, indirect_utility, valuation
+from productmix import Bid, BidList, demand_interval, indirect_utility, valuation
 from productmix.sfm import SetFunction
+from productmix.validity import DEFAULT_BUDGET, RegionQuery, ValidityReport, md, mdF
 
 
 def random_submodular(rng: Random, n: int) -> SetFunction:
@@ -88,6 +89,65 @@ def demanded_by_valuation(blist: BidList, bundle, price) -> bool:
         return False
     cost = sum(Fraction(p) * v for p, v in zip(price, x))
     return valuation(blist, x) - cost == indirect_utility(blist, price)
+
+
+def contains(query: RegionQuery, bid) -> bool:
+    """Exact membership of the bid's (non-negative) valuation vector in the region."""
+    x = bid.values if isinstance(bid, Bid) else tuple(Fraction(v) for v in bid)
+    y = query.anchor
+    if len(x) != len(y):
+        raise ValueError("dimension mismatch")
+    i = query.i - 1
+    if query.kind == "H":
+        return x[i] == y[i] and all(xv <= yv for xv, yv in zip(x, y))
+    j = query.j - 1
+    beta = x[i] - y[i]
+    if beta != x[j] - y[j] or beta < 0:
+        return False
+    return all(xv - beta <= yv for xv, yv in zip(x, y))
+
+
+def _region_is_negative(query: RegionQuery, bids) -> bool:
+    balance = 0
+    for b in bids:
+        if contains(query, b):
+            balance += 1 if b.weight > 0 else -1
+    return balance < 0
+
+
+def reference_validity(blist: BidList, budget: int = DEFAULT_BUDGET) -> ValidityReport:
+    """Region-counting validity in Fractions: the reference for check_validity.
+
+    The same subset enumeration and region checks, with every membership
+    tested on Fraction values and no region's balance remembered, so its
+    regions_counted is the number of region checks made.
+    """
+    n = blist.n
+    negatives = [b for b in blist.bids if b.weight < 0]
+    if not negatives:
+        return ValidityReport("valid")
+    unique_negs = sorted({b.values for b in negatives})
+    checked = regions = 0
+    for size in range(1, min(n + 1, len(unique_negs)) + 1):
+        for combo in combinations(unique_negs, size):
+            checked += 1
+            if checked > budget:
+                return ValidityReport("undecided", None, checked - 1, regions)
+            for i in range(1, n + 1):
+                ref = combo[0][i - 1]
+                if all(v[i - 1] == ref for v in combo):
+                    query = RegionQuery("H", md(combo), i)
+                    regions += 1
+                    if _region_is_negative(query, blist.bids):
+                        return ValidityReport("invalid", query, checked, regions)
+            for i, j in combinations(range(1, n + 1), 2):
+                ref = combo[0][i - 1] - combo[0][j - 1]
+                if all(v[i - 1] - v[j - 1] == ref for v in combo):
+                    query = RegionQuery("F", mdF(i, combo), i, j)
+                    regions += 1
+                    if _region_is_negative(query, blist.bids):
+                        return ValidityReport("invalid", query, checked, regions)
+    return ValidityReport("valid", None, checked, regions)
 
 
 def is_subsequence(short, long):

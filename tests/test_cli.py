@@ -71,6 +71,11 @@ class TestValidate:
         )
         assert cli.main(["validate", path]) == 0
 
+    def test_negative_budget_is_usage_error(self, worked_file, capsys):
+        assert cli.main(["validate", worked_file, "--budget", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and "non-negative" in err
+
 
 class TestPrice:
     @pytest.mark.parametrize("method", ["unit", "long-binary", "long-demand"])
