@@ -7,7 +7,6 @@ that everyone receives a bundle they demand.
 """
 
 from .core import (
-    ALL_GOODS,
     Bid,
     BidList,
     demand_interval,
@@ -15,10 +14,6 @@ from .core import (
     demanded_goods,
     indirect_utility,
     is_demanded,
-    is_marginal,
-    project_bid,
-    shift_bids,
-    surplus_gap,
     valuation,
 )
 from .allocation import AllocationProblem, Solution, allocate, initial_problem
@@ -39,7 +34,6 @@ from .testgen import GenConfig, bench_suite, generate_instance, generate_list
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_GOODS",
     "AllocationProblem",
     "Bid",
     "BidList",
@@ -62,16 +56,12 @@ __all__ = [
     "indirect_utility",
     "initial_problem",
     "is_demanded",
-    "is_marginal",
     "long_step_min_up",
     "lyapunov",
     "min_up",
     "minimal_minimiser",
     "minimise",
-    "project_bid",
-    "shift_bids",
     "slope",
     "steepest_direction",
-    "surplus_gap",
     "valuation",
 ]

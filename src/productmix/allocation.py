@@ -19,20 +19,19 @@ allocate drives these until the bid lists are empty; the number of edges of
 the marginal bids graph strictly decreases with every cluster or cycle step,
 which bounds the loop.  Internally all values are held as integers scaled by
 ten, so the 1/10 perturbations stay exact and every hot scan runs on ints
-rather than Fractions: each bidder's rows are the table core.ScaledBids.build
-makes at scale 10, and input bids off the 1/10 grid are rejected.
+rather than Fractions: each bidder's rows are a mutable copy of its BidList's
+table rescaled to 10, and input bids off the 1/10 grid are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
 from . import sfm
-from .core import Bid, BidList, ScaledBids, as_bundle, is_demanded, rat
+from .core import Bid, BidList, as_bundle, is_demanded, rat
 from .errors import BadCluster, NotClearing
 from .graphs import (
     CycleEdge,
@@ -120,44 +119,9 @@ class AllocationProblem:
         if any(r < 0 for r in self.residual):
             raise NotClearing("residual went negative; the price does not clear the target")
 
-    def assert_tenth_grid(self):
-        for j in self.names:
-            for row in self.rows[j]:
-                for v in row:
-                    if not isinstance(v, int):
-                        raise AssertionError("bid values left the 1/10 grid")
-
-    def check_local_validity(self, radius_tenths: int = 2) -> bool:
-        """Per-bidder pairwise marginal-weight check on the 1/10 lattice.
-
-        Scans every lattice price within the given L-infinity radius (in
-        tenths) of the problem price; bids on the 1/10 grid can only become
-        marginal at these points, so a clean scan certifies validity on the
-        surrounding open ball.
-        """
-        offsets = range(-radius_tenths, radius_tenths + 1)
-        for j in self.names:
-            if not self.weights[j]:
-                continue
-            for delta in product(offsets, repeat=self.n):
-                q = [p + d for p, d in zip(self.price10, delta)]
-                sums: dict[tuple[int, int], int] = {}
-                for mask, w in zip(self.masks(j, q), self.weights[j]):
-                    if not mask & (mask - 1):
-                        continue
-                    goods = sorted(_mask_goods(mask))
-                    for a in range(len(goods)):
-                        for b in range(a + 1, len(goods)):
-                            key = (goods[a], goods[b])
-                            sums[key] = sums.get(key, 0) + w
-                if any(v < 0 for v in sums.values()):
-                    return False
-        return True
-
     def _after(self):
         if self.checks:
             self.assert_conserved()
-            self.assert_tenth_grid()
 
 
 @dataclass
@@ -209,11 +173,9 @@ def initial_problem(
     rows = {}
     weights = {}
     for lst in bidders:
-        arr = ScaledBids.build(lst.bids, (_SCALE,))
-        if arr.scale != _SCALE:
-            raise ValueError("input bid values must lie on the 1/10 grid")
-        rows[lst.owner] = arr.vals
-        weights[lst.owner] = arr.weights
+        table = lst.table.rescale(_SCALE)
+        rows[lst.owner] = [list(row) for row in table.vals]
+        weights[lst.owner] = list(table.weights)
 
     total_weight = sum(sum(w) for w in weights.values())
     rejects = total_weight - sum(target)
@@ -225,7 +187,7 @@ def initial_problem(
     if verify and not names and any(target):
         raise NotClearing("no bidders but a non-empty target")
 
-    price10 = ScaledBids((), _SCALE).price_ints(p)
+    price10 = [x.numerator * _SCALE for x in p]
     return AllocationProblem(names, rows, weights, (rejects, *target), price10, checks)
 
 
@@ -344,7 +306,7 @@ def shift_project_unshift(
     if bidder not in problem.rows:
         raise BadCluster(f"unknown bidder {bidder!r}")
     if any(p % _SCALE for p in problem.price10):
-        raise AssertionError("shift_project_unshift requires an integral price")
+        raise NotClearing("shift_project_unshift requires an integral price")
 
     def apply_shift(sign: int) -> None:
         for row in problem.rows[bidder]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import allocation, pricing, testgen, validity
-from .core import BidList, as_bundle, demanded_bundle, rat
+from .core import BidList, _integer, as_bundle, demanded_bundle, rat
 from .errors import DimensionError, MarginalPrice, ParseError, ProductMixError
 
 RESERVE_BIDDER = "auctioneer"
@@ -47,15 +47,10 @@ class Auction:
     priority: Optional[list[tuple[int, str]]]
 
     def max_entry(self) -> Fraction:
-        return max(
-            (v for lst in self.bidders for b in lst.bids for v in b.values),
-            default=Fraction(0),
-        )
+        return max((lst.max_entry() for lst in self.bidders), default=Fraction(0))
 
     def integral(self) -> bool:
-        return all(
-            v.denominator == 1 for lst in self.bidders for b in lst.bids for v in b.values
-        )
+        return all(lst.table.scale == 1 for lst in self.bidders)
 
 
 def _parse_value(raw, where: str) -> Fraction:
@@ -85,7 +80,7 @@ def parse_auction(path: str) -> Auction:
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     try:
-        n = int(data["goods"])
+        n = _integer(data["goods"], "goods")
     except (KeyError, TypeError, ValueError):
         raise ParseError("missing or malformed 'goods'", field="goods")
     if n < 1:
@@ -126,16 +121,24 @@ def parse_auction(path: str) -> Auction:
 
     priority = None
     if "priority" in data and data["priority"] is not None:
-        priority = []
-        for k, pair in enumerate(data["priority"]):
-            where = f"priority[{k}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{where}: expected [good, bidder]", field=where)
-            good, owner = pair
-            if not isinstance(good, int) or not 0 <= good <= n:
-                raise ParseError(f"{where}: good out of range", field=where)
-            priority.append((good, str(owner)))
+        priority = _parse_priority(data["priority"], n)
     return Auction(n, M, bidders, target, priority)
+
+
+def _parse_priority(raw, n: int) -> list[tuple[int, str]]:
+    """[good, bidder] pairs; a good is a JSON integer in 0..n."""
+    if not isinstance(raw, list):
+        raise ParseError("priority must be a list of [good, bidder] pairs", field="priority")
+    priority = []
+    for k, pair in enumerate(raw):
+        where = f"priority[{k}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{where}: expected [good, bidder]", field=where)
+        good, owner = pair
+        if type(good) is not int or not 0 <= good <= n:
+            raise ParseError(f"{where}: good out of range", field=where)
+        priority.append((good, str(owner)))
+    return priority
 
 
 def _require_integral(auction: Auction) -> None:
@@ -244,11 +247,9 @@ def cmd_allocate(args) -> int:
         try:
             with open(args.priority_file) as fh:
                 raw = json.load(fh)
-            priority = _full_priority(
-                auction, [(int(g), str(o)) for g, o in raw]
-            )
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ParseError(f"bad priority file: {exc}") from exc
+        priority = _full_priority(auction, _parse_priority(raw, auction.n))
     elif auction.priority is not None:
         priority = _full_priority(auction, auction.priority)
     elif args.seedless_deterministic:
@@ -357,14 +358,17 @@ def cmd_regions(args) -> int:
     if step <= 0:
         raise ParseError("--grid-step must be positive")
     top = auction.M if auction.M is not None else int(auction.max_entry()) + 1
-    bids = [b for lst in auction.bidders for b in lst.bids]
+    if auction.bidders:
+        market = BidList.aggregate(auction.bidders, "market")
+    else:
+        market = BidList("market", (), n=2)
     print("p1,p2,x1,x2,marginal")
     p1 = Fraction(0)
     while p1 <= top:
         p2 = Fraction(0)
         while p2 <= top:
             try:
-                bundle = demanded_bundle(bids, (p1, p2)) if bids else (0, 0, 0)
+                bundle = demanded_bundle(market, (p1, p2))
                 print(f"{_decimal(p1)},{_decimal(p2)},{bundle[1]},{bundle[2]},0")
             except MarginalPrice:
                 print(f"{_decimal(p1)},{_decimal(p2)},,,1")

@@ -1,15 +1,19 @@
 """Bids, bundles, prices and the demand primitives built on them.
 
-Everything here is exact: values are `fractions.Fraction` and no solver path
-ever touches floating point.  Goods are numbered 1..n with an implicit
-"reject" good 0 whose bid value and price are always zero; a bid accepted on
-the reject good is simply not filled.  Bids carry unit weights +1 or -1
-(weighted input bids are expanded at construction), and a bid list is an
-ordered multiset of unit bids owned by one bidder.
+Everything here is exact and no solver path ever touches floating point.
+Goods are numbered 1..n with an implicit "reject" good 0 whose bid value and
+price are always zero; a bid accepted on the reject good is simply not
+filled.  Bids carry unit weights +1 or -1 (weighted input rows are expanded
+at construction), and a bid list is an ordered multiset of unit bids owned
+by one bidder.
 
-Hot loops delegate to productmix.kernels.pure after rescaling values and
-prices to a common integer grid, so the scans run on ints rather than
-Fractions and stay exact.
+A BidList holds its bids as one ScaledBids table: integer values on the
+coarsest grid 1/scale that holds them all.  Every layer (price finding,
+allocation, validity and the demand primitives below) reads that table; a
+primitive rescales it only when the price needs a finer grid, and the hot
+scans in productmix.kernels.pure run on its ints.  The Fraction view
+(BidList.bids, one Bid per unit bid) is built on first use and kept for the
+API and for the tests' Fraction references.
 """
 
 from __future__ import annotations
@@ -26,27 +30,12 @@ from .kernels import pure
 Rational = Union[int, str, Fraction]
 
 
-class AllGoods:
-    """Marker returned by surplus_gap when a bid demands every good."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ALL_GOODS"
-
-
-ALL_GOODS = AllGoods()
-
-
 def rat(x: Rational) -> Fraction:
     """Coerce ints, decimal strings and Fractions to an exact rational."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError("booleans are not numbers here; pass ints, strings or Fractions")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -64,14 +53,27 @@ def as_price(price: Sequence[Rational], n: int | None = None) -> tuple[Fraction,
     return p
 
 
-def _integer(v, what: str) -> int:
-    """An exact integer from an int, a decimal string or a Fraction."""
-    if isinstance(v, int):
+def _exact(v) -> Union[int, Fraction]:
+    """An exact number as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
         return v
     q = rat(v)
-    if q.denominator != 1:
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integer(v, what: str) -> int:
+    """An exact integer from an int, a decimal string or a Fraction."""
+    q = _exact(v)
+    if type(q) is not int:
         raise ValueError(f"{what} must be integers, got {v!r}")
-    return q.numerator
+    return q
+
+
+def _on_grid(v: Union[int, Fraction], scale: int) -> int:
+    """v * scale for a value v whose denominator divides scale."""
+    if type(v) is int:
+        return v * scale
+    return v.numerator * (scale // v.denominator)
 
 
 def as_bundle(bundle: Sequence[int], n: int | None = None) -> tuple[int, ...]:
@@ -108,45 +110,46 @@ class Bid:
 
 
 class BidList:
-    """An ordered multiset of unit bids belonging to one bidder."""
+    """An ordered multiset of unit bids belonging to one bidder.
 
-    __slots__ = ("owner", "bids", "n")
+    ``table`` is the list's ScaledBids table, made once at construction;
+    ``bids`` is the same list as Fraction Bids, built on first use.
+    """
+
+    __slots__ = ("owner", "n", "table", "_bids")
 
     def __init__(self, owner: str, bids: Iterable[Bid], n: int | None = None):
-        self.owner = owner
-        self.bids = tuple(bids)
-        if self.bids:
-            sizes = {b.n for b in self.bids}
-            if len(sizes) > 1:
-                raise ValueError("all bids in a list must cover the same goods")
-            self.n = sizes.pop()
-            if n is not None and n != self.n:
+        bids = tuple(bids)
+        self._set(owner, ScaledBids.build((b.values, b.weight) for b in bids), n)
+        self._bids = bids
+
+    def _set(self, owner: str, table: ScaledBids, n: int | None) -> None:
+        if table.vals:
+            width = len(table.vals[0])
+            if n is not None and n != width:
                 raise ValueError("bid length disagrees with the declared good count")
-        else:
-            if n is None:
-                raise ValueError("an empty bid list needs an explicit good count")
-            self.n = n
+            n = width
+        elif n is None:
+            raise ValueError("an empty bid list needs an explicit good count")
+        self.owner = owner
+        self.n = n
+        self.table = table
+        self._bids = None
+
+    @classmethod
+    def _of(cls, owner: str, table: ScaledBids, n: int | None) -> "BidList":
+        out = cls.__new__(cls)
+        out._set(owner, table, n)
+        return out
 
     @classmethod
     def from_rows(cls, owner: str, rows: Iterable[Sequence], n: int | None = None) -> "BidList":
         """Build a list from (v_1, ..., v_n, weight) rows, expanding weights.
 
-        A row with integer weight w becomes |w| unit bids of sign(w); zero
-        weights are rejected, and so are weights that are not exact integers
-        (floats raise TypeError, other non-integers ValueError).
+        The rows go straight into the table (see ``ScaledBids.build`` for
+        what is accepted); no Bid is made until ``bids`` is read.
         """
-        bids = []
-        for row in rows:
-            *values, weight = row
-            if len(values) == 1 and isinstance(values[0], (list, tuple)):
-                values = list(values[0])
-            weight = _integer(weight, "bid weights")
-            if weight == 0:
-                raise ValueError("bids must have non-zero weight")
-            unit = 1 if weight > 0 else -1
-            vals = tuple(rat(v) for v in values)
-            bids.extend(Bid(vals, unit) for _ in range(abs(weight)))
-        return cls(owner, bids, n=n)
+        return cls._of(owner, ScaledBids.build(rows), n)
 
     @classmethod
     def aggregate(cls, lists: Iterable["BidList"], owner: str = "aggregate") -> "BidList":
@@ -154,72 +157,142 @@ class BidList:
         if not lists:
             raise ValueError("cannot aggregate zero bid lists")
         n = lists[0].n
-        bids = [b for lst in lists for b in lst.bids]
-        return cls(owner, bids, n=n)
+        if any(lst.n != n for lst in lists):
+            raise ValueError("bid length disagrees with the declared good count")
+        return cls._of(owner, ScaledBids.concat(lst.table for lst in lists), n)
+
+    @property
+    def bids(self) -> tuple[Bid, ...]:
+        """The unit bids as exact Fraction Bids (built on first use)."""
+        if self._bids is None:
+            self._bids = self.table.to_bids()
+        return self._bids
 
     def total_weight(self) -> int:
-        return sum(b.weight for b in self.bids)
+        return sum(self.table.weights)
 
     def max_entry(self) -> Fraction:
         """Largest bid value; the price box for this list is [0, max_entry]^n."""
-        return max((v for b in self.bids for v in b.values), default=Fraction(0))
+        top = max((v for row in self.table.vals for v in row), default=0)
+        return Fraction(top, self.table.scale)
 
     def __len__(self):
-        return len(self.bids)
+        return len(self.table.weights)
 
     def __iter__(self):
         return iter(self.bids)
 
     def __repr__(self):
-        return f"BidList({self.owner!r}, {len(self.bids)} bids, n={self.n})"
-
-
-def _bids_of(bids) -> tuple[tuple[Bid, ...], int | None]:
-    """Normalise a BidList or iterable of bids to (bids, n); n may be None."""
-    if isinstance(bids, BidList):
-        return bids.bids, bids.n
-    seq = tuple(bids)
-    return seq, (seq[0].n if seq else None)
-
-
-def _on_grid(v: Fraction, scale: int) -> int:
-    """v * scale for a value v on the 1/scale grid."""
-    if scale % v.denominator:
-        raise ValueError(f"bid value {v} does not live on the 1/{scale} grid")
-    return v.numerator * (scale // v.denominator)
+        return f"BidList({self.owner!r}, {len(self)} bids, n={self.n})"
 
 
 class ScaledBids:
-    """Bids and prices rescaled to a common integer grid for the kernels.
+    """Unit bids as integers on a common grid: the one bid table.
 
-    This is the one table through which ``core``, ``pricing`` and
-    ``allocation`` turn ``Fraction`` bids and prices into integers and count
-    demand bounds.  The constructor and ``price_ints`` raise ValueError for
-    a bid value or price off the table's grid; neither ever rounds.
+    ``vals`` holds one tuple of scaled values per unit bid and ``weights``
+    its +1 or -1; value v of a bid is ``Fraction(row[g], scale)``.  A table
+    made by ``build`` (and so every BidList's table) sits on the coarsest
+    grid holding its values, and tables are never altered: ``rescale`` and
+    ``concat`` return new ones.  ``rescale`` and ``price_ints`` raise
+    ValueError for a value or price off the requested grid; neither ever
+    rounds.
     """
 
     __slots__ = ("scale", "vals", "weights")
 
-    def __init__(self, bids: Sequence[Bid], scale: int):
+    def __init__(self, vals: Sequence[tuple[int, ...]], weights: Sequence[int], scale: int):
         self.scale = scale
-        self.vals = [[_on_grid(v, scale) for v in b.values] for b in bids]
-        self.weights = [b.weight for b in bids]
+        self.vals = vals
+        self.weights = weights
 
     @classmethod
-    def build(cls, bids: Sequence[Bid], extra_denominators: Iterable[int] = ()) -> "ScaledBids":
+    def build(cls, rows: Iterable[Sequence]) -> "ScaledBids":
+        """The table of (v_1, ..., v_n, weight) rows, expanding weights.
+
+        A row with integer weight w becomes |w| unit bids of sign(w); zero
+        weights are rejected, and so are weights that are not exact integers
+        (floats and booleans raise TypeError, other non-integers ValueError).
+        Values are ints, decimal strings or Fractions; rows must all have the
+        same length.  A row may also be given as ((v_1, ..., v_n), weight).
+        """
+        vals_out: list[tuple] = []
+        weights_out: list[int] = []
         scale = 1
-        for b in bids:
-            for v in b.values:
-                scale = math.lcm(scale, v.denominator)
-        for d in extra_denominators:
-            scale = math.lcm(scale, d)
-        return cls(bids, scale)
+        width = None
+        for row in rows:
+            *values, weight = row
+            if len(values) == 1 and isinstance(values[0], (list, tuple)):
+                values = values[0]
+            if type(weight) is not int:
+                weight = _integer(weight, "bid weights")
+            if weight == 0:
+                raise ValueError("bids must have non-zero weight")
+            vals = tuple(values)
+            if len(vals) != width:
+                if width is not None:
+                    raise ValueError("all bids in a list must cover the same goods")
+                width = len(vals)
+            if set(map(type, vals)) - {int}:
+                vals = tuple(map(_exact, vals))
+                for v in vals:
+                    if type(v) is not int:
+                        scale = math.lcm(scale, v.denominator)
+            if weight == 1:
+                vals_out.append(vals)
+                weights_out.append(1)
+            else:
+                vals_out.extend([vals] * abs(weight))
+                weights_out.extend([1 if weight > 0 else -1] * abs(weight))
+        if scale != 1:
+            vals_out = [tuple(_on_grid(v, scale) for v in row) for row in vals_out]
+        return cls(tuple(vals_out), tuple(weights_out), scale)
+
+    @classmethod
+    def concat(cls, tables: Iterable["ScaledBids"]) -> "ScaledBids":
+        """The tables' rows in order, on the coarsest grid holding them all."""
+        tables = list(tables)
+        scale = math.lcm(*(t.scale for t in tables))
+        vals: tuple = ()
+        weights: tuple = ()
+        for t in tables:
+            t = t.rescale(scale)
+            vals += t.vals
+            weights += t.weights
+        return cls(vals, weights, scale)
+
+    def rescale(self, scale: int) -> "ScaledBids":
+        """This table on the 1/scale grid.
+
+        Raises ValueError unless the grid holds every value, that is unless
+        ``scale`` is a multiple of this table's (coarsest) scale.
+        """
+        if scale == self.scale:
+            return self
+        if scale % self.scale:
+            raise ValueError(f"bid values do not lie on the 1/{scale} grid")
+        k = scale // self.scale
+        vals = tuple(tuple(v * k for v in row) for row in self.vals)
+        return ScaledBids(vals, self.weights, scale)
+
+    def priced(self, price: Sequence[Fraction]) -> tuple["ScaledBids", list[int]]:
+        """This table on the coarsest grid that also holds the price, and
+        the price on that grid."""
+        table = self.rescale(math.lcm(self.scale, *(x.denominator for x in price)))
+        return table, table.price_ints(price)
+
+    def to_bids(self) -> tuple[Bid, ...]:
+        """The unit bids with exact Fraction values."""
+        s = self.scale
+        return tuple(
+            Bid(tuple(Fraction(v, s) for v in row), w)
+            for row, w in zip(self.vals, self.weights)
+        )
 
     def price_ints(self, price: Sequence[Rational]) -> list[int]:
         s = self.scale
         out = []
         for x in price:
-            if isinstance(x, int):
+            if type(x) is int:
                 out.append(x * s)
                 continue
             q = rat(x) * s
@@ -281,48 +354,25 @@ def demanded_goods(bid: Bid, price: Sequence[Rational]) -> frozenset[int]:
     return frozenset(goods)
 
 
-def is_marginal(bid: Bid, price: Sequence[Rational]) -> bool:
-    """True when the bid demands more than one good at this price."""
-    return len(demanded_goods(bid, price)) > 1
+def _table(blist: BidList, price: Sequence[Rational]) -> tuple[ScaledBids, list[int]]:
+    """The list's table on a grid that also holds the price, and the price."""
+    return blist.table.priced(as_price(price, blist.n))
 
 
-def surplus_gap(bid: Bid, price: Sequence[Rational]):
-    """Best surplus minus best surplus over non-demanded goods.
-
-    Returns ALL_GOODS when every good (including reject) is demanded, since
-    no runner-up exists; otherwise the gap, which is strictly positive.
-    """
-    p = as_price(price, bid.n)
-    surpluses = [Fraction(0)] + [bid.values[j] - p[j] for j in range(bid.n)]
-    best = max(surpluses)
-    rest = [s for s in surpluses if s != best]
-    if not rest:
-        return ALL_GOODS
-    return best - max(rest)
-
-
-def _table(bids, price: Sequence[Rational]) -> tuple[ScaledBids, list[int]]:
-    """The bids' integer table on a grid that also holds the price."""
-    seq, n = _bids_of(bids)
-    p = as_price(price, n)
-    arr = ScaledBids.build(seq, (x.denominator for x in p))
-    return arr, arr.price_ints(p)
-
-
-def indirect_utility(bids, price: Sequence[Rational]) -> Fraction:
+def indirect_utility(blist: BidList, price: Sequence[Rational]) -> Fraction:
     """Sum over bids of weight * best surplus (zero for rejected bids)."""
-    arr, pints = _table(bids, price)
+    arr, pints = _table(blist, price)
     return Fraction(arr.utility(pints), arr.scale)
 
 
-def demanded_bundle(bids, price: Sequence[Rational]) -> tuple[int, ...]:
+def demanded_bundle(blist: BidList, price: Sequence[Rational]) -> tuple[int, ...]:
     """The unique demanded bundle at a non-marginal price.
 
     Returns an (n+1)-vector whose 0th coordinate counts rejected weight.
     Raises MarginalPrice when some bid is marginal, in which case no single
     bundle is canonical and callers must perturb the price instead.
     """
-    arr, pints = _table(bids, price)
+    arr, pints = _table(blist, price)
     bundle = arr.bundle(pints)
     if bundle is None:
         p = tuple(str(Fraction(x, arr.scale)) for x in pints)
@@ -330,52 +380,17 @@ def demanded_bundle(bids, price: Sequence[Rational]) -> tuple[int, ...]:
     return tuple(bundle)
 
 
-def demand_interval(bids, price: Sequence[Rational]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def demand_interval(
+    blist: BidList, price: Sequence[Rational]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Coordinate-wise min and max over all demanded bundles at this price.
 
     Both vectors have length n+1 with the reject count in coordinate 0.
     The minimum for a good counts only non-marginal bids demanding it; the
     maximum counts every bid that demands it.
     """
-    arr, pints = _table(bids, price)
+    arr, pints = _table(blist, price)
     return arr.bounds(pints)
-
-
-def project_bid(bid: Bid, price: Sequence[Rational]) -> Bid:
-    """Move a bid one unit so its surplus gap at this price grows by one.
-
-    With demanded goods I: subtract the indicator of the non-demanded goods
-    when the reject good is demanded, otherwise add the indicator of I.  A
-    bid demanding all goods is returned unchanged.  Projected values may go
-    negative; the weight never changes.
-    """
-    goods = demanded_goods(bid, price)
-    if 0 in goods:
-        new_vals = tuple(
-            v - (0 if (j + 1) in goods else 1) for j, v in enumerate(bid.values)
-        )
-    else:
-        new_vals = tuple(
-            v + (1 if (j + 1) in goods else 0) for j, v in enumerate(bid.values)
-        )
-    return Bid(new_vals, bid.weight)
-
-
-def shift_bids(blist: BidList, good: int, delta: Rational) -> BidList:
-    """Add delta to every bid's value for one good (|delta| < 1/4)."""
-    d = rat(delta)
-    if not abs(d) < Fraction(1, 4):
-        raise ValueError("shift magnitude must stay below 1/4")
-    if not 1 <= good <= blist.n:
-        raise ValueError(f"good {good} out of range")
-    bids = [
-        Bid(
-            tuple(v + d if j + 1 == good else v for j, v in enumerate(b.values)),
-            b.weight,
-        )
-        for b in blist.bids
-    ]
-    return BidList(blist.owner, bids, n=blist.n)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +460,3 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
             return False
     return True
 
-
-def total_weight(bids) -> int:
-    seq, _ = _bids_of(bids)
-    return sum(b.weight for b in seq)

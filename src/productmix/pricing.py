@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sfm
-from .core import Bid, BidList, ScaledBids, as_bundle, as_price, indirect_utility
+from .core import Bid, BidList, ScaledBids, as_bundle, as_price
 from .errors import InfeasibleTarget, StepUnbounded
 
 
@@ -73,21 +73,24 @@ class PriceProblem:
         if any(t < 0 for t in self.target):
             raise ValueError("target bundles must be non-negative")
         self.n = len(self.target)
-        bids = []
         for lst in bid_lists:
             if lst.n != self.n:
                 raise ValueError("bid list and target dimensions disagree")
-            bids.extend(lst.bids)
-        reserve = Bid((Fraction(0),) * self.n, 1)
         self.reserve_count = sum(self.target) + 1
-        bids.extend(reserve for _ in range(self.reserve_count))
-        self.bids = tuple(bids)
-        self.arr = ScaledBids.build(self.bids)
+        reserve = ScaledBids(
+            ((0,) * self.n,) * self.reserve_count, (1,) * self.reserve_count, 1
+        )
+        self.arr = ScaledBids.concat([*(lst.table for lst in bid_lists), reserve])
         if self.arr.scale != 1:
             # Integrality of the minimal clearing price (and the step rules)
             # rests on integer bid values; fractional lists are rejected.
             raise ValueError("price finding requires integer bid values")
         self.price_cap = max((v for row in self.arr.vals for v in row), default=0)
+
+    @property
+    def bids(self) -> tuple[Bid, ...]:
+        """The aggregate unit bids, reserve bids last, as Fraction Bids."""
+        return self.arr.to_bids()
 
     # -- exact evaluation helpers (scaled integers) -------------------------
 
@@ -111,7 +114,9 @@ class PriceProblem:
 def lyapunov(pp: PriceProblem, price) -> Fraction:
     """g(p) = aggregate indirect utility at p plus the cost of the target."""
     p = as_price(price, pp.n)
-    return indirect_utility(pp.bids, p) + sum(t * x for t, x in zip(pp.target, p))
+    arr, pints = pp.arr.priced(p)
+    utility = Fraction(arr.utility(pints), arr.scale)
+    return utility + sum(t * x for t, x in zip(pp.target, p))
 
 
 def slope(pp: PriceProblem, price, direction) -> Fraction:

@@ -113,7 +113,9 @@ def generate_list(
                     failed = True
                     break
                 bids.extend(group)
-                demanded = demanded_bundle(group, _perturbed_centre(rng, n, M))
+                demanded = demanded_bundle(
+                    BidList("group", group, n=n), _perturbed_centre(rng, n, M)
+                )
                 if any(v < 0 for v in demanded[1:]):
                     raise AssertionError("group bundle went negative")
                 for g in range(n):

@@ -13,14 +13,14 @@ than guessing.
 
 Bid values must be non-negative (check_validity raises ValueError
 otherwise): the region reduction assumes valuations in the non-negative
-orthant.  The check runs on integers.  One core.ScaledBids table puts every
-value on a common grid and never rounds.  Subsets are enumerated in the
-sorted order of their integer rows, which is the Fraction order because the
-scale is positive, and a subset's agreements are read from a table of
-pairwise agreements between its members.  A region's balance is the sum of
-the weights of the rows inside it; different subsets often share an anchor,
-so each region's balance is counted once per call.  Only a witness's anchor
-is turned back into Fractions.
+orthant.  The check runs on integers: it reads the list's own table, which
+holds every value on a common grid and never rounds.  Subsets are
+enumerated in the sorted order of their integer rows, which is the Fraction
+order because the scale is positive, and a subset's agreements are read
+from a table of pairwise agreements between its members.  A region's
+balance is the sum of the weights of the rows inside it; different subsets
+often share an anchor, so each region's balance is counted once per call.
+Only a witness's anchor is turned back into Fractions.
 
 brute_force_valid is an independent desk-scale oracle used by the tests: it
 sweeps, per pair of goods, the exact breakpoint grid of prices at which the
@@ -35,7 +35,7 @@ from itertools import combinations
 from operator import le
 from typing import Iterable, Optional
 
-from .core import Bid, BidList, ScaledBids, rat
+from .core import Bid, BidList, rat
 from .errors import EmptySet, ScaleExceeded
 
 DEFAULT_BUDGET = 200_000
@@ -157,8 +157,8 @@ def check_validity(blist: BidList, budget: int = DEFAULT_BUDGET) -> ValidityRepo
     """
     if budget < 0:
         raise ValueError(f"the subset budget must be non-negative, got {budget}")
-    table = ScaledBids.build(blist.bids)
-    rows = [(tuple(x), w) for x, w in zip(table.vals, table.weights)]
+    table = blist.table
+    rows = list(zip(table.vals, table.weights))
     if any(v < 0 for x, _ in rows for v in x):
         raise ValueError("bid values must be non-negative")
     unique_negs = sorted({x for x, w in rows if w < 0})

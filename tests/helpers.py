@@ -1,10 +1,17 @@
 """Shared oracles and generators for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
-from productmix import Bid, BidList, demand_interval, indirect_utility, valuation
+from productmix import (
+    Bid,
+    BidList,
+    demand_interval,
+    demanded_goods,
+    indirect_utility,
+    valuation,
+)
 from productmix.sfm import SetFunction
 from productmix.validity import DEFAULT_BUDGET, RegionQuery, ValidityReport, md, mdF
 
@@ -89,6 +96,58 @@ def demanded_by_valuation(blist: BidList, bundle, price) -> bool:
         return False
     cost = sum(Fraction(p) * v for p, v in zip(price, x))
     return valuation(blist, x) - cost == indirect_utility(blist, price)
+
+
+def surplus_gap(bid: Bid, price):
+    """Best surplus minus best surplus over the goods the bid does not demand.
+
+    None when every good (reject included) is demanded, since no runner-up
+    exists; otherwise the gap, which is strictly positive.
+    """
+    surpluses = [Fraction(0)] + [v - Fraction(p) for v, p in zip(bid.values, price)]
+    best = max(surpluses)
+    rest = [s for s in surpluses if s != best]
+    return best - max(rest) if rest else None
+
+
+def project_bid(bid: Bid, price) -> Bid:
+    """Move a bid one unit so its surplus gap at this price grows by one.
+
+    The Fraction reference for allocation._project_rows.  With demanded goods
+    I: subtract the indicator of the non-demanded goods when the reject good
+    is demanded, otherwise add the indicator of I.  A bid demanding every
+    good is returned unchanged; values may go negative.
+    """
+    goods = demanded_goods(bid, price)
+    if 0 in goods:
+        step = [0 if g in goods else -1 for g in range(1, bid.n + 1)]
+    else:
+        step = [1 if g in goods else 0 for g in range(1, bid.n + 1)]
+    return Bid(tuple(v + d for v, d in zip(bid.values, step)), bid.weight)
+
+
+def check_local_validity(problem, radius_tenths: int = 2) -> bool:
+    """Per-bidder pairwise marginal-weight check on the 1/10 lattice.
+
+    Scans every lattice price within the given L-infinity radius (in
+    tenths) of an allocation problem's price; bids on the 1/10 grid can only
+    become marginal at these points, so a clean scan certifies validity on
+    the surrounding open ball.
+    """
+    offsets = range(-radius_tenths, radius_tenths + 1)
+    for j in problem.names:
+        if not problem.weights[j]:
+            continue
+        for delta in product(offsets, repeat=problem.n):
+            q = [p + d for p, d in zip(problem.price10, delta)]
+            sums: dict[tuple[int, int], int] = {}
+            for mask, w in zip(problem.masks(j, q), problem.weights[j]):
+                goods = [g for g in range(problem.n + 1) if mask >> g & 1]
+                for pair in combinations(goods, 2):
+                    sums[pair] = sums.get(pair, 0) + w
+            if any(v < 0 for v in sums.values()):
+                return False
+    return True
 
 
 def contains(query: RegionQuery, bid) -> bool:

@@ -1,10 +1,15 @@
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 
-from productmix import BidList, is_demanded
+from helpers import check_local_validity, project_bid
+from productmix import Bid, BidList, is_demanded
+from productmix import pricing, validity
 from productmix.allocation import (
+    AllocationProblem,
+    _project_rows,
     allocate,
     initial_problem,
     non_marginals,
@@ -13,6 +18,7 @@ from productmix.allocation import (
 )
 from productmix.errors import BadCluster, NotClearing
 from productmix.graphs import CycleEdge, build_marginal_graph, find_params
+from productmix.testgen import GenConfig, generate_instance
 
 
 class TestInitialProblem:
@@ -172,7 +178,14 @@ class TestShiftProjectUnshift:
         problem = self.smallest_cycle()
         params = find_params(problem)
         shift_project_unshift(problem, params.good, params.bidder)
-        assert problem.check_local_validity()
+        assert check_local_validity(problem)
+
+    def test_non_integral_price_is_not_clearing(self):
+        problem = AllocationProblem(
+            ("a",), {"a": [[50, 40]]}, {"a": [1]}, (0, 1, 0), [45, 40]
+        )
+        with pytest.raises(NotClearing):
+            shift_project_unshift(problem, 1, "a")
 
     def test_demand_sets_never_grow(self):
         # the projection widens each bid's surplus gap at the perturbed price
@@ -185,6 +198,43 @@ class TestShiftProjectUnshift:
         for j in problem.names:
             for old, new in zip(before[j], problem.masks(j)):
                 assert new & ~old == 0
+
+
+def tenths(rows, weights):
+    return [Bid(tuple(Fraction(v, 10) for v in row), w) for row, w in zip(rows, weights)]
+
+
+class TestProjectRows:
+    def test_matches_fraction_reference(self):
+        # random rows in tenths at integral prices, checked against the
+        # Fraction projection; some rows tie on every good (the reject good
+        # too when c == 0) and low rows are pushed below zero
+        rng = Random("project-rows")
+        seen = {"all goods": 0, "all real goods": 0, "negative": 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            price = [rng.randint(0, 5) for _ in range(n)]
+            price10 = [10 * p for p in price]
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    c = rng.choice((0, rng.randint(1, 20)))
+                    seen["all real goods" if c else "all goods"] += 1
+                    rows.append([p + c for p in price10])
+                elif kind == 1:
+                    rows.append([rng.randint(0, 5) for _ in range(n)])
+                else:
+                    rows.append([rng.randint(0, 70) for _ in range(n)])
+            weights = [rng.choice((1, -1)) for _ in rows]
+            expected = [project_bid(b, price) for b in tenths(rows, weights)]
+            problem = AllocationProblem(
+                ("a",), {"a": rows}, {"a": weights}, (0,) * (n + 1), price10
+            )
+            _project_rows(problem, price10)
+            assert tenths(problem.rows["a"], weights) == expected
+            seen["negative"] += any(v < 0 for row in rows for v in row)
+        assert min(seen.values()) > 20, seen
 
 
 class TestAllocate:
@@ -284,3 +334,40 @@ class TestAllocate:
         assert tuple(total) == (1, 1)
         for lst in (a, b):
             assert is_demanded(lst, solution.real_bundle(lst.owner), (2, 9))
+
+
+class TestOneRepresentation:
+    """Lists made from rows stay integer tables through a whole clear."""
+
+    def instance(self):
+        rng = Random("one-representation")
+        lists, target = generate_instance(GenConfig(n=3, q=6, M=20), 3, rng)
+        rows = {
+            lst.owner: [tuple(int(v) for v in b.values) + (b.weight,) for b in lst.bids]
+            for lst in lists
+        }
+        return rows, target
+
+    def test_clear_and_validate_build_no_bid(self, monkeypatch):
+        rows, target = self.instance()
+        lists = [BidList.from_rows(owner, r, n=3) for owner, r in rows.items()]
+        tables = [(lst.table.vals, lst.table.weights, lst.table.scale) for lst in lists]
+        made = []
+        original = Bid.__post_init__
+        monkeypatch.setattr(Bid, "__post_init__", lambda b: made.append(b) or original(b))
+
+        price, _ = pricing.long_step_min_up(pricing.PriceProblem(lists, target))
+        reserve = BidList.from_rows("auctioneer", [(0, 0, 0, 1)] * (sum(target) + 1))
+        solution = allocate(lists + [reserve], target, price, verify=True)
+        assert solution.cycle_calls > 0  # the rows were edited in place
+        assert all(validity.check_validity(lst).is_valid for lst in lists)
+        assert made == []
+
+        monkeypatch.undo()
+        for lst, table, owner in zip(lists, tables, rows):
+            assert (lst.table.vals, lst.table.weights, lst.table.scale) == table
+            assert [(b.values, b.weight) for b in lst.bids] == [
+                (row[:-1], 1 if row[-1] > 0 else -1)
+                for row in rows[owner]
+                for _ in range(abs(row[-1]))
+            ]

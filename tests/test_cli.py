@@ -315,3 +315,24 @@ class TestParseErrors:
             },
         )
         assert cli.main(["validate", path]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("goods", True), ("target", [True, 0]), ("priority", [[True, "alice"]])],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, field, value):
+        data = {
+            "goods": 2,
+            "bidders": [{"name": "alice", "bids": [[6, 6, 1], [0, 4, 1]]}],
+            "target": [1, 0],
+        }
+        data[field] = value
+        path = write_auction(tmp_path, data)
+        assert cli.main(["allocate", path]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("good", [True, 1.5, "1"])
+    def test_priority_file_goods_are_integers(self, worked_file, tmp_path, good):
+        pf = tmp_path / "priority.json"
+        pf.write_text(json.dumps([[good, "alice"]]))
+        assert cli.main(["allocate", worked_file, "--priority-file", str(pf)]) == 2

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from productmix import (
-    ALL_GOODS,
     Bid,
     BidList,
     demand_interval,
@@ -13,14 +12,12 @@ from productmix import (
     demanded_goods,
     indirect_utility,
     is_demanded,
-    is_marginal,
-    project_bid,
-    shift_bids,
-    surplus_gap,
     valuation,
 )
-from productmix.core import ScaledBids
+from productmix.core import ScaledBids, as_bundle, rat
 from productmix.errors import InfeasibleBundle, MarginalPrice
+
+from helpers import project_bid, surplus_gap
 
 
 def bid(*vals, w=1):
@@ -47,14 +44,16 @@ class TestDemandedGoods:
 
 
 class TestMarginal:
+    """A bid is marginal when it demands more than one good."""
+
     def test_non_marginal(self):
-        assert not is_marginal(bid(6, 6), (6, 2))
+        assert len(demanded_goods(bid(6, 6), (6, 2))) == 1
 
     def test_marginal_with_reject(self):
-        assert is_marginal(bid(0, 4), (2, 4))
+        assert len(demanded_goods(bid(0, 4), (2, 4))) > 1
 
     def test_high_price_never_marginal(self):
-        assert not is_marginal(bid(6, 6), (8, 8))
+        assert demanded_goods(bid(6, 6), (8, 8)) == {0}
 
 
 class TestSurplusGap:
@@ -62,7 +61,7 @@ class TestSurplusGap:
         assert surplus_gap(bid(6, 6), (4, 4)) == 2
 
     def test_all_goods(self):
-        assert surplus_gap(bid(4, 4, w=-1), (4, 4)) is ALL_GOODS
+        assert surplus_gap(bid(4, 4, w=-1), (4, 4)) is None
 
     def test_runner_up(self):
         assert surplus_gap(bid(5, 3), (4, 4)) == 1
@@ -169,25 +168,6 @@ class TestProjection:
         assert demanded_goods(projected, q) <= demanded_goods(b, price)
 
 
-class TestShift:
-    def test_single_shift(self):
-        lst = BidList("x", [bid(6, 6)])
-        out = shift_bids(lst, 1, Fraction(1, 10))
-        assert out.bids[0].values == (Fraction(61, 10), 6)
-
-    def test_shift_roundtrip(self, bob):
-        out = shift_bids(shift_bids(bob, 2, Fraction(1, 10)), 2, Fraction(-1, 10))
-        assert [b.values for b in out.bids] == [b.values for b in bob.bids]
-
-    def test_empty(self):
-        lst = BidList("x", [], n=3)
-        assert len(shift_bids(lst, 1, Fraction(1, 10))) == 0
-
-    def test_magnitude_guard(self, bob):
-        with pytest.raises(ValueError):
-            shift_bids(bob, 1, Fraction(1, 4))
-
-
 class TestBidList:
     def test_weight_expansion(self):
         lst = BidList.from_rows("w", [(3, 1, 2), (5, 5, -3)])
@@ -213,19 +193,53 @@ class TestBidList:
         for weight in (2, Fraction(4, 2), "2"):
             assert len(BidList.from_rows("w", [(3, 1, weight)])) == 2
 
+    def test_booleans_rejected(self):
+        # bool is a subclass of int; True must not pass for the number 1
+        for row in [(True, 2, 1), (3, False, 1), (3, 2, True)]:
+            with pytest.raises(TypeError):
+                BidList.from_rows("w", [row])
+        with pytest.raises(TypeError):
+            rat(True)
+        with pytest.raises(TypeError):
+            as_bundle((True, 0))
+
+    def test_table_and_lazy_bids_agree(self):
+        lst = BidList.from_rows("t", [("1/2", 3, 2), (1, "0.25", -1)])
+        assert lst.table.scale == 4
+        assert lst.table.vals == ((2, 12), (2, 12), (4, 1))
+        assert lst.table.weights == (1, 1, -1)
+        assert [(b.values, b.weight) for b in lst.bids] == [
+            ((Fraction(1, 2), 3), 1),
+            ((Fraction(1, 2), 3), 1),
+            ((1, Fraction(1, 4)), -1),
+        ]
+        again = BidList("t", lst.bids)
+        assert again.table.vals == lst.table.vals and again.table.scale == 4
+
+    def test_aggregate_concatenates_tables(self, alice):
+        tenths = BidList.from_rows("x", [("0.5", 1, 1)])
+        both = BidList.aggregate([alice, tenths])
+        assert both.table.scale == 2
+        assert both.table.vals == ((12, 12), (0, 8), (1, 2))
+        assert both.bids == alice.bids + tenths.bids
+        with pytest.raises(ValueError):
+            BidList.aggregate([alice, BidList("three", [], n=3)])
+
 
 class TestScaledBids:
     def test_values_scale_exactly(self):
-        arr = ScaledBids([bid("1/2", 3, w=-1), bid("7/4", 0)], 4)
-        assert arr.vals == [[2, 12], [7, 0]]
-        assert arr.weights == [-1, 1]
+        arr = ScaledBids.build([("1/2", 3, -1), (Fraction(7, 4), 0, 1)])
+        assert arr.scale == 4
+        assert arr.vals == ((2, 12), (7, 0))
+        assert arr.weights == (-1, 1)
+        assert arr.rescale(8).vals == ((4, 24), (14, 0))
 
     def test_values_off_the_grid_rejected(self):
         # truncating 1/2 to 0 on the unit grid would change every answer
         with pytest.raises(ValueError):
-            ScaledBids([bid("1/2")], 1)
+            ScaledBids.build([("1/2", 1)]).rescale(1)
         with pytest.raises(ValueError):
-            ScaledBids([bid(1, "1/3")], 10)
+            ScaledBids.build([(1, "1/3", 1)]).rescale(10)
 
 
 class TestDemandInterval:
