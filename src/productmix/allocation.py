@@ -12,7 +12,8 @@ preserving its solutions:
 * shift_project_unshift breaks a multi-bidder tie cycle without allocating
   anything: it nudges one bidder's bids by 1/10 toward a cycle-link good,
   re-clears the residual at a +-1/10 perturbed price found by two submodular
-  minimisations, projects every bid at that price (widening surplus gaps by
+  minimisations (both answered from one demand-mask histogram of all bids
+  at the price), projects every bid at that price (widening surplus gaps by
   one), and undoes the nudge.
 
 allocate drives these until the bid lists are empty; the number of edges of
@@ -31,7 +32,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import sfm
-from .core import Bid, BidList, as_bundle, is_demanded, rat
+from .core import Bid, BidList, DemandHistogram, as_bundle, is_demanded, rat
 from .errors import BadCluster, NotClearing
 from .graphs import (
     CycleEdge,
@@ -295,7 +296,9 @@ def shift_project_unshift(
     supply at a price perturbed by +-1/10 on some set of goods (two
     submodular minimisations, one per sign; a plain minimiser suffices),
     projects every bid at the perturbed price, then removes the shift and
-    returns to the original price.
+    returns to the original price.  Both minimisations read one
+    DemandHistogram of the shifted bids at the price, and the sign whose
+    minimum is lower (+ on ties) wins.
 
     The cycle-link good may be the reject good 0, whose bid coordinate is
     pinned to zero; raising it by 1/10 is applied as the demand-equivalent
@@ -318,31 +321,27 @@ def shift_project_unshift(
 
     apply_shift(+1)
 
-    agg_rows = [row for j in problem.names for row in problem.rows[j]]
-    agg_weights = [w for j in problem.names for w in problem.weights[j]]
-    resid = problem.residual
-
-    def g_scaled(p10):
-        util = pure.indirect_utility(agg_rows, agg_weights, p10)
-        return util + sum(resid[g] * p10[g - 1] for g in range(1, problem.n + 1))
-
-    base10 = list(problem.price10)
-    base_val = g_scaled(base10)
-
-    def perturbed(direction, sign):
-        q = list(base10)
-        for i in direction:
-            q[i - 1] += sign
-        return q
-
-    def h(sign):
-        return lambda s: g_scaled(perturbed(s, sign)) - base_val
-
-    s_plus, _ = sfm.minimise(sfm.SetFunction(problem.n, h(+1)))
-    s_minus, _ = sfm.minimise(sfm.SetFunction(problem.n, h(-1)))
-    up = perturbed(s_plus, +1)
-    down = perturbed(s_minus, -1)
-    eps_price = up if g_scaled(up) <= g_scaled(down) else down
+    # One scan of every bid at the price answers both one-unit oracles of
+    # g(q) = f(q) + r.q, r the residual of the real goods (all in tenths).
+    hist = DemandHistogram(
+        problem.n,
+        (
+            pair
+            for j in problem.live_bidders()
+            for pair in zip(problem.masks(j), problem.weights[j])
+        ),
+    )
+    resid = problem.residual[1:]
+    s_plus, low_plus = sfm.minimise(
+        sfm.SetFunction(problem.n, lambda s: hist.step(+1, s, resid))
+    )
+    s_minus, low_minus = sfm.minimise(
+        sfm.SetFunction(problem.n, lambda s: hist.step(-1, s, resid))
+    )
+    sign, direction = (+1, s_plus) if low_plus <= low_minus else (-1, s_minus)
+    eps_price = list(problem.price10)
+    for i in direction:
+        eps_price[i - 1] += sign
 
     _project_rows(problem, eps_price)
 

@@ -287,9 +287,22 @@ def cmd_allocate(args) -> int:
     return 0
 
 
+def _gen_config(**settings) -> testgen.GenConfig:
+    try:
+        return testgen.GenConfig(**settings)
+    except ValueError as exc:
+        raise ParseError(f"bad generator settings: {exc}") from exc
+
+
 def cmd_generate(args) -> int:
-    M = args.M if args.M is not None else int(os.environ.get("PRODUCTMIX_M", "100"))
-    cfg = testgen.GenConfig(n=args.goods, q=args.rounds, M=M, seed=args.seed)
+    M = args.M
+    if M is None:
+        raw = os.environ.get("PRODUCTMIX_M", "100")
+        try:
+            M = int(raw)
+        except ValueError as exc:
+            raise ParseError(f"$PRODUCTMIX_M must be an integer, got {raw!r}") from exc
+    cfg = _gen_config(n=args.goods, q=args.rounds, M=M, seed=args.seed)
     from random import Random
 
     rng = Random(f"generate:{args.seed}")
@@ -312,6 +325,14 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     grid = _parse_grid(args.grid)
+    if args.repetitions < 1:
+        raise ParseError(f"--repetitions must be at least 1, got {args.repetitions}")
+    for value in grid:
+        _gen_config(
+            n=value if args.axis == "goods" else args.goods,
+            q=value if args.axis == "bids" else args.rounds,
+            M=args.M,
+        )
     rows = testgen.bench_suite(
         args.axis,
         grid,
@@ -354,7 +375,10 @@ def cmd_regions(args) -> int:
     auction = parse_auction(args.file)
     if auction.n != 2:
         raise DimensionError("regions output requires exactly 2 goods")
-    step = rat(args.grid_step)
+    try:
+        step = rat(args.grid_step)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad --grid-step {args.grid_step!r}: {exc}") from exc
     if step <= 0:
         raise ParseError("--grid-step must be positive")
     top = auction.M if auction.M is not None else int(auction.max_entry()) + 1
@@ -383,8 +407,11 @@ def _parse_grid(spec: str) -> list[int]:
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ParseError(f"bad grid {spec!r}; use start:stop[:step] or a,b,c")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        try:
+            start, stop = int(parts[0]), int(parts[1])
+            step = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError as exc:
+            raise ParseError(f"bad grid {spec!r}: {exc}") from exc
         if step <= 0 or stop < start:
             raise ParseError(f"bad grid {spec!r}")
         return list(range(start, stop + 1, step))

@@ -14,6 +14,11 @@ primitive rescales it only when the price needs a finer grid, and the hot
 scans in productmix.kernels.pure run on its ints.  The Fraction view
 (BidList.bids, one Bid per unit bid) is built on first use and kept for the
 API and for the tests' Fraction references.
+
+Every submodular oracle of the solver is a one-grid-unit step of the
+Lyapunov function.  A DemandHistogram, made by one demand-mask scan at a
+price, answers all of them (and the demand-interval bounds) exactly, so a
+price visited costs one scan however many subsets the minimisers ask about.
 """
 
 from __future__ import annotations
@@ -195,7 +200,8 @@ class ScaledBids:
     grid holding its values, and tables are never altered: ``rescale`` and
     ``concat`` return new ones.  ``rescale`` and ``price_ints`` raise
     ValueError for a value or price off the requested grid; neither ever
-    rounds.
+    rounds.  ``histogram`` groups the bids by demanded set at a grid price;
+    the demand bounds and every one-unit oracle read that histogram.
     """
 
     __slots__ = ("scale", "vals", "weights")
@@ -314,15 +320,75 @@ class ScaledBids:
     def min_step(self, pints: list[int], smask: int) -> int:
         return pure.min_step(self.vals, pints, smask)
 
-    def bounds(self, pints: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def histogram(self, pints: list[int]) -> "DemandHistogram":
+        """The bids' demanded sets at this grid price, grouped by set."""
+        return DemandHistogram(len(pints), zip(self.masks(pints), self.weights))
+
+
+def goods_mask(goods: Iterable[int]) -> int:
+    """The bitmask of a set of goods: bit g for good g, bit 0 for reject."""
+    mask = 0
+    for g in goods:
+        mask |= 1 << g
+    return mask
+
+
+class DemandHistogram:
+    """Bids grouped by demanded set at one grid price: {mask: summed weight}.
+
+    One demand-mask scan makes it; every one-unit oracle is then answered
+    at O(distinct masks) per query.  Prices and values are integers on one
+    grid, so every surplus gap is at least one unit, and a bid demanding D
+    at p has its best surplus fall by one unit at p + e^S exactly when
+    D is a subset of S (reject excluded), and rise by one unit at p - e^S
+    exactly when D meets S.  Hence, in scaled units of the table, with
+    S a mask of real goods:
+
+    * ``up(S)``   = f(p + e^S) - f(p) = -(sum of w_D over D within S);
+    * ``down(S)`` = f(p - e^S) - f(p) = sum of w_D over D meeting S;
+
+    where f is the indirect utility and e^S one grid unit on each good of
+    S.  Masks whose weights cancel are left out; they change no answer.
+    ``step`` adds the linear term of g(q) = f(q) + t.q, the form of every
+    oracle the solver minimises.
+    """
+
+    __slots__ = ("n", "weight")
+
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        self.n = n
+        weight: dict[int, int] = {}
+        for mask, w in pairs:
+            weight[mask] = weight.get(mask, 0) + w
+        self.weight = {d: w for d, w in weight.items() if w}
+
+    def up(self, smask: int) -> int:
+        """Scaled f(p + e^S) - f(p) for a mask S of real goods."""
+        return -sum(w for d, w in self.weight.items() if not d & ~smask)
+
+    def down(self, smask: int) -> int:
+        """Scaled f(p - e^S) - f(p) for a mask S of real goods."""
+        return sum(w for d, w in self.weight.items() if d & smask)
+
+    def step(self, sign: int, goods: Iterable[int], t: Sequence[int]) -> int:
+        """Scaled g(p + sign * e^S) - g(p) for g(q) = f(q) + t.q.
+
+        ``goods`` is the set S of real goods, ``sign`` +1 or -1, and ``t``
+        holds one entry per real good (t[i - 1] for good i).
+        """
+        smask = goods_mask(goods)
+        change = self.up(smask) if sign > 0 else self.down(smask)
+        return change + sign * sum(t[i - 1] for i in goods)
+
+    def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coordinate-wise (min, max) over the demanded bundles, reject first.
 
         The minimum for a good sums the weights of non-marginal bids
         demanding it; the maximum sums the weights of all bids demanding it.
         """
-        lower = [0] * (len(pints) + 1)
-        upper = [0] * (len(pints) + 1)
-        for mask, w in zip(self.masks(pints), self.weights):
+        lower = [0] * (self.n + 1)
+        upper = [0] * (self.n + 1)
+        for mask, w in self.weight.items():
             single = (mask & (mask - 1)) == 0
             g = 0
             while mask:
@@ -336,7 +402,8 @@ class ScaledBids:
 
 
 # ---------------------------------------------------------------------------
-# Demand primitives
+# Demand primitives.  Those on a BidList run one kernel scan of its table on
+# the price's grid; demand_interval reads its bounds off a DemandHistogram.
 # ---------------------------------------------------------------------------
 
 def demanded_goods(bid: Bid, price: Sequence[Rational]) -> frozenset[int]:
@@ -390,7 +457,7 @@ def demand_interval(
     maximum counts every bid that demands it.
     """
     arr, pints = _table(blist, price)
-    return arr.bounds(pints)
+    return arr.histogram(pints).bounds()
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +496,9 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
     Analysis, 2003, section 7).  Both step families are checked by one exact
     submodular minimisation each, after a demand-interval prune that rules out
     bundles outside the coordinate bounds of the demanded bundles (including
-    more than the list can supply at zero-priced coordinates).
+    more than the list can supply at zero-priced coordinates).  One
+    DemandHistogram at p answers the prune and every query of both
+    minimisations.
 
     The list is assumed valid, as ``valuation`` assumes; for an invalid list
     the answer carries no meaning.
@@ -440,23 +509,17 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
         return False
     rejects = blist.total_weight() - sum(x)
     ext = (rejects,) + x
-    mins, maxs = arr.bounds(pints)
+    hist = arr.histogram(pints)
+    mins, maxs = hist.bounds()
     if any(not (mins[g] <= ext[g] <= maxs[g]) for g in range(blist.n + 1)):
         return False
-    base = arr.utility(pints)
     for sign in (1, -1):
 
         def step(s, sign=sign):
             """scale * (g_x(p + sign * e^S) - g_x(p)), steps of one grid unit."""
-            if not s:
-                return 0
-            q = list(pints)
-            for i in s:
-                q[i - 1] += sign
-            return arr.utility(q) - base + sign * sum(x[i - 1] for i in s)
+            return hist.step(sign, s, x)
 
         _, low = sfm.minimise(sfm.SetFunction(blist.n, step))
         if low < 0:
             return False
     return True
-

@@ -32,19 +32,23 @@ def indirect_utility(vals, weights, price):
 
 
 def demand_masks(vals, price):
-    """Bitmask of argmax surplus goods (incl. reject) for each bid."""
+    """Bitmask of argmax surplus goods (incl. reject) for each bid.
+
+    One pass per row: the mask restarts whenever a strictly better surplus
+    appears, starting from the reject good's surplus of 0.
+    """
     n = len(price)
     out = []
     for row in vals:
         best = 0
+        mask = 1
         for j in range(n):
             s = row[j] - price[j]
             if s > best:
                 best = s
-        mask = 1 if best == 0 else 0
-        for j in range(n):
-            if row[j] - price[j] == best:
-                mask |= 1 << (j + 1)
+                mask = 2 << j
+            elif s == best:
+                mask |= 2 << j
         out.append(mask)
     return out
 

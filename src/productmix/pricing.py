@@ -18,6 +18,10 @@ demanded bundle over-supplies must join the direction, goods none over-supply
 never do).  These bounds shrink the ground set of the submodular
 minimisation; they skip it only when every good is forced or settled, which
 is rare on generated auctions.
+
+Every slope is read from a core.DemandHistogram: one demand-mask scan at a
+price gives the bounds and g(p + e^S) - g(p) for every S, so a direction
+search costs one scan and each probe of a step rule one more.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sfm
-from .core import Bid, BidList, ScaledBids, as_bundle, as_price
+from .core import Bid, BidList, DemandHistogram, ScaledBids, as_bundle, as_price, goods_mask
 from .errors import InfeasibleTarget, StepUnbounded
 
 
@@ -97,18 +101,13 @@ class PriceProblem:
     def _pints(self, price) -> list[int]:
         return self.arr.price_ints(price)
 
-    def _g(self, pints: list[int]) -> int:
-        """scale * g at the given scaled price."""
-        tp = sum(t * p for t, p in zip(self.target, pints))
-        return self.arr.utility(pints) + tp
+    def _slope(self, hist: DemandHistogram, direction) -> int:
+        """g(p + e^S) - g(p) at the integral price hist was taken at.
 
-    def _slope(self, pints: list[int], direction) -> int:
-        """scale * (g(p + e^S) - g(p)) for integral p given in scaled ints."""
-        s = self.arr.scale
-        shifted = list(pints)
-        for i in direction:
-            shifted[i - 1] += s
-        return self._g(shifted) - self._g(pints)
+        The table's grid is the integers (see __init__), so e^S is one grid
+        unit and the histogram's one-unit identity gives the slope exactly.
+        """
+        return hist.step(+1, direction, self.target)
 
 
 def lyapunov(pp: PriceProblem, price) -> Fraction:
@@ -137,7 +136,11 @@ def demand_bounds(pp: PriceProblem, price) -> DemandBounds:
     ``forced`` collects goods whose lower bound exceeds the target, and
     ``settled`` those whose upper bound does not.
     """
-    lower, upper = pp.arr.bounds(pp._pints(price))
+    return _bounds(pp, pp.arr.histogram(pp._pints(price)))
+
+
+def _bounds(pp: PriceProblem, hist: DemandHistogram) -> DemandBounds:
+    lower, upper = hist.bounds()
     n = pp.n
     forced = frozenset(i for i in range(1, n + 1) if lower[i] > pp.target[i - 1])
     settled = frozenset(i for i in range(1, n + 1) if upper[i] <= pp.target[i - 1])
@@ -145,9 +148,12 @@ def demand_bounds(pp: PriceProblem, price) -> DemandBounds:
 
 
 def steepest_direction(pp: PriceProblem, price) -> frozenset[int]:
-    """Minimal set with the most negative slope, or the empty set at optimum."""
-    pints = pp._pints(price)
-    bounds = demand_bounds(pp, price)
+    """Minimal set with the most negative slope, or the empty set at optimum.
+
+    One demand-mask scan at the price answers the bounds and every slope.
+    """
+    hist = pp.arr.histogram(pp._pints(price))
+    bounds = _bounds(pp, hist)
     forced, settled = bounds.forced, bounds.settled
     free = [i for i in range(1, pp.n + 1) if i not in forced and i not in settled]
     if not free:
@@ -157,11 +163,11 @@ def steepest_direction(pp: PriceProblem, price) -> frozenset[int]:
 
         def h(t):
             direction = forced | {remap[k] for k in t}
-            return pp._slope(pints, direction)
+            return pp._slope(hist, direction)
 
         bottom = sfm.minimal_minimiser(sfm.SetFunction(len(free), h))
         candidate = forced | {remap[k] for k in bottom}
-    if not candidate or pp._slope(pints, candidate) >= 0:
+    if not candidate or pp._slope(hist, candidate) >= 0:
         return frozenset()
     return frozenset(candidate)
 
@@ -203,13 +209,13 @@ def step_length_binary(pp: PriceProblem, price, direction) -> int:
     if not direction:
         raise ValueError("empty direction")
     pints = pp._pints(price)
-    base = pp._slope(pints, direction)
+    base = pp._slope(pp.arr.histogram(pints), direction)
 
     def pred(lam: int) -> bool:
         probe = list(pints)
         for i in direction:
             probe[i - 1] += (lam - 1) * pp.arr.scale
-        return pp._slope(probe, direction) == base
+        return pp._slope(pp.arr.histogram(probe), direction) == base
 
     hi_cap = pp.price_cap + 1 - min(price[i - 1] for i in direction)
     if hi_cap < 1:
@@ -237,10 +243,8 @@ def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
     if not direction:
         raise ValueError("empty direction")
     pints = pp._pints(price)
-    base = pp._slope(pints, direction)
-    smask = 0
-    for i in direction:
-        smask |= 1 << i
+    base = pp._slope(pp.arr.histogram(pints), direction)
+    smask = goods_mask(direction)
     lam = 0
     cap = pp.price_cap + 2
     probe = list(pints)
@@ -254,7 +258,7 @@ def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
         probe = list(pints)
         for i in direction:
             probe[i - 1] += lam
-        if pp._slope(probe, direction) != base:
+        if pp._slope(pp.arr.histogram(probe), direction) != base:
             return lam
 
 

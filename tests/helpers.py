@@ -12,7 +12,9 @@ from productmix import (
     indirect_utility,
     valuation,
 )
-from productmix.sfm import SetFunction
+from productmix.allocation import _project_rows
+from productmix.kernels import pure
+from productmix.sfm import SetFunction, minimise
 from productmix.validity import DEFAULT_BUDGET, RegionQuery, ValidityReport, md, mdF
 
 
@@ -96,6 +98,64 @@ def demanded_by_valuation(blist: BidList, bundle, price) -> bool:
         return False
     cost = sum(Fraction(p) * v for p, v in zip(price, x))
     return valuation(blist, x) - cost == indirect_utility(blist, price)
+
+
+def scan_step(table, pints, goods, sign, t) -> int:
+    """scale * (g(p + sign * e^S) - g(p)) by two indirect-utility scans.
+
+    g(q) = f(q) + t.q on the table's grid, e^S one grid unit on each good
+    of S: the reference for the histogram's one-unit oracles
+    (``DemandHistogram.up``/``down`` plus the linear term).
+    """
+    q = list(pints)
+    for i in goods:
+        q[i - 1] += sign
+    return table.utility(q) - table.utility(pints) + sign * sum(t[i - 1] for i in goods)
+
+
+def reference_shift_project_unshift(problem, good: int, bidder: str) -> None:
+    """shift_project_unshift with its oracles answered by utility scans.
+
+    The reference for the histogram form: each SFM query evaluates g at the
+    perturbed price by a full scan of the aggregate rows, and the sign is
+    chosen by evaluating g at both candidate prices.
+    """
+
+    def apply_shift(sign: int) -> None:
+        for row in problem.rows[bidder]:
+            if good == 0:
+                for g in range(problem.n):
+                    row[g] -= sign
+            else:
+                row[good - 1] += sign
+
+    apply_shift(+1)
+    agg_rows = [row for j in problem.names for row in problem.rows[j]]
+    agg_weights = [w for j in problem.names for w in problem.weights[j]]
+    resid = problem.residual
+
+    def g_scaled(p10):
+        util = pure.indirect_utility(agg_rows, agg_weights, p10)
+        return util + sum(resid[g] * p10[g - 1] for g in range(1, problem.n + 1))
+
+    base10 = list(problem.price10)
+    base_val = g_scaled(base10)
+
+    def perturbed(direction, sign):
+        q = list(base10)
+        for i in direction:
+            q[i - 1] += sign
+        return q
+
+    def h(sign):
+        return lambda s: g_scaled(perturbed(s, sign)) - base_val
+
+    s_plus, _ = minimise(SetFunction(problem.n, h(+1)))
+    s_minus, _ = minimise(SetFunction(problem.n, h(-1)))
+    up = perturbed(s_plus, +1)
+    down = perturbed(s_minus, -1)
+    _project_rows(problem, up if g_scaled(up) <= g_scaled(down) else down)
+    apply_shift(-1)
 
 
 def surplus_gap(bid: Bid, price):

@@ -199,6 +199,13 @@ class TestGenerate:
         data = json.loads(capsys.readouterr().out)
         assert data["M"] == 20
 
+    @pytest.mark.parametrize("goods, scale", [("0", "100"), ("1", "abc")])
+    def test_bad_settings_are_usage_errors(self, capsys, monkeypatch, goods, scale):
+        monkeypatch.setenv("PRODUCTMIX_M", scale)
+        assert cli.main(["generate", "-n", goods, "-m", "1", "-q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
 
 class TestBench:
     def test_csv_rows(self, capsys):
@@ -246,6 +253,19 @@ class TestBench:
         assert manifest["seed"] == 0 and manifest["grid"] == [1, 2]
         assert out.read_text().startswith("axis,value,")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--axis", "bids", "--grid", "a:3"],
+            ["--axis", "bids", "--grid", "3", "--repetitions", "0"],
+            ["--axis", "goods", "--grid", "0"],
+        ],
+    )
+    def test_bad_settings_are_usage_errors(self, capsys, extra):
+        assert cli.main(["bench", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+
 
 class TestRegions:
     def test_marginal_marker_row(self, tmp_path, capsys):
@@ -273,6 +293,10 @@ class TestRegions:
             },
         )
         assert cli.main(["regions", path]) == 1
+
+    def test_bad_grid_step_is_usage_error(self, worked_file, capsys):
+        assert cli.main(["regions", worked_file, "--grid-step", "abc"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestParseErrors:

@@ -211,8 +211,8 @@ class TestCertificates:
 
         _, trace = min_up(worked)
         for price in trace.prices():
-            pints = worked._pints(price)
-            f = SetFunction(worked.n, lambda s: worked._slope(pints, s))
+            hist = worked.arr.histogram(worked._pints(price))
+            f = SetFunction(worked.n, lambda s: worked._slope(hist, s))
             assert check_submodular(f)
 
     def test_minimality_certificate(self, alice, bob):

@@ -32,8 +32,8 @@ class TestMinimise:
 
     def test_slope_function_of_worked_example(self, alice, bob):
         pp = PriceProblem([alice, bob], (1, 1))
-        pints = pp._pints([0, 0])
-        f = SetFunction(2, lambda s: pp._slope(pints, s))
+        hist = pp.arr.histogram(pp._pints([0, 0]))
+        f = SetFunction(2, lambda s: pp._slope(hist, s))
         s, v = minimise(f)
         assert s == frozenset({1, 2}) and v == -2
         assert minimal_minimiser(f) == frozenset({1, 2})
