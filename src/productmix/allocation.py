@@ -14,7 +14,11 @@ preserving its solutions:
   re-clears the residual at a +-1/10 perturbed price found by two submodular
   minimisations (both answered from one demand-mask histogram of all bids
   at the price), projects every bid at that price (widening surplus gaps by
-  one), and undoes the nudge.
+  one), and undoes the nudge.  Any minimiser of the winning sign will do:
+  on more than 16 goods the plus sign gives the minimal one and the minus
+  sign the maximal one (the union-closure search of sfm, which reads the
+  minus oracle at the complement), and Wolfe, when the search gives up,
+  promises neither.
 
 allocate drives these until the bid lists are empty; the number of edges of
 the marginal bids graph strictly decreases with every cluster or cycle step,
@@ -294,7 +298,7 @@ def shift_project_unshift(
 
     Shifts the bidder's bids by 1/10 toward the good, re-clears the residual
     supply at a price perturbed by +-1/10 on some set of goods (two
-    submodular minimisations, one per sign; a plain minimiser suffices),
+    submodular minimisations, one per sign; any minimiser suffices),
     projects every bid at the perturbed price, then removes the shift and
     returns to the original price.  Both minimisations read one
     DemandHistogram of the shifted bids at the price, and the sign whose
@@ -332,12 +336,8 @@ def shift_project_unshift(
         ),
     )
     resid = problem.residual[1:]
-    s_plus, low_plus = sfm.minimise(
-        sfm.SetFunction(problem.n, lambda s: hist.step(+1, s, resid))
-    )
-    s_minus, low_minus = sfm.minimise(
-        sfm.SetFunction(problem.n, lambda s: hist.step(-1, s, resid))
-    )
+    s_plus, low_plus = sfm.minimise(hist.oracle(+1, resid))
+    s_minus, low_minus = sfm.minimise(hist.oracle(-1, resid))
     sign, direction = (+1, s_plus) if low_plus <= low_minus else (-1, s_minus)
     eps_price = list(problem.price10)
     for i in direction:

@@ -350,7 +350,20 @@ class DemandHistogram:
     where f is the indirect utility and e^S one grid unit on each good of
     S.  Masks whose weights cancel are left out; they change no answer.
     ``step`` adds the linear term of g(q) = f(q) + t.q, the form of every
-    oracle the solver minimises.
+    oracle the solver minimises, and ``oracle`` makes that step a
+    sfm.SetFunction.
+
+    Union closure.  With t >= 0 the plus step is
+    F(S) = t(S) - (sum of w_D over D within S), and shrinking S to the union
+    U of the positive-weight D within S keeps every positive term (each such
+    D lies in U) while only costs and negative terms drop out, so
+    F(U) <= F(S).  The minimum, and the minimal minimiser (which this
+    shrinking maps to itself), therefore lie among the unions of the
+    positive-weight demanded sets.  The minus step has the same form in
+    T = N - S once the reject bit is dropped from every mask, since
+    "D meets S" is "D is not within T".  Nothing here needs
+    submodularity or a valid list, only t >= 0 on the ground; a negative
+    cost (possible off a clearing price) gets no closure.
     """
 
     __slots__ = ("n", "weight")
@@ -379,6 +392,75 @@ class DemandHistogram:
         smask = goods_mask(goods)
         change = self.up(smask) if sign > 0 else self.down(smask)
         return change + sign * sum(t[i - 1] for i in goods)
+
+    def oracle(
+        self,
+        sign: int,
+        t: Sequence[int],
+        free: Sequence[int] | None = None,
+        forced: frozenset[int] = frozenset(),
+    ) -> sfm.SetFunction:
+        """The SetFunction S -> step(sign, forced | free[S], t).
+
+        Element k of its ground is good ``free[k - 1]`` (every real good,
+        in order, by default).  A ground wider than sfm.BRUTE_FORCE_LIMIT
+        whose costs t are all non-negative carries the union closure, which
+        lets sfm search it instead of running Wolfe.
+        """
+        if free is None and not forced:
+            free = range(1, self.n + 1)
+
+            def fn(s):
+                return self.step(sign, s, t)
+
+        else:
+            free = tuple(range(1, self.n + 1) if free is None else free)
+
+            def fn(s):
+                return self.step(sign, forced | {free[k - 1] for k in s}, t)
+
+        closure = None
+        if len(free) > sfm.BRUTE_FORCE_LIMIT and all(t[g - 1] >= 0 for g in free):
+            closure = self._union_closure(sign, free, forced)
+        return sfm.SetFunction(len(free), fn, closure)
+
+    def _union_closure(
+        self, sign: int, free: Sequence[int], forced: frozenset[int]
+    ) -> sfm.UnionClosure:
+        """The positive-weight demanded sets on the ground bits of ``oracle``.
+
+        Plus sign: a mask counts when it lies within forced | free[S], so
+        masks holding the reject good or a good outside forced | free never
+        count, and forced goods leave every mask.  Minus sign: a mask counts
+        when it meets forced | free[S], so masks meeting forced always
+        count, and the reject good and goods outside free leave every mask.
+        Weights are summed after remapping; empty masks (constant terms) go.
+        """
+        bit = {g: 1 << k for k, g in enumerate(free, 1)}
+        forced_mask = goods_mask(forced)
+        weight: dict[int, int] = {}
+        for mask, w in self.weight.items():
+            if sign > 0:
+                if mask & 1:
+                    continue
+                mask &= ~forced_mask
+            elif mask & forced_mask:
+                continue
+            out = 0
+            g = 0
+            while mask:
+                if mask & 1 and g:
+                    if g in bit:
+                        out |= bit[g]
+                    elif sign > 0:
+                        break
+                mask >>= 1
+                g += 1
+            else:
+                if out:
+                    weight[out] = weight.get(out, 0) + w
+        masks = tuple(d for d, w in weight.items() if w > 0)
+        return sfm.UnionClosure(masks, complement=sign < 0)
 
     def bounds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coordinate-wise (min, max) over the demanded bundles, reject first.
@@ -514,12 +596,8 @@ def is_demanded(blist: BidList, bundle: Sequence[int], price: Sequence[Rational]
     if any(not (mins[g] <= ext[g] <= maxs[g]) for g in range(blist.n + 1)):
         return False
     for sign in (1, -1):
-
-        def step(s, sign=sign):
-            """scale * (g_x(p + sign * e^S) - g_x(p)), steps of one grid unit."""
-            return hist.step(sign, s, x)
-
-        _, low = sfm.minimise(sfm.SetFunction(blist.n, step))
+        # scale * (g_x(p + sign * e^S) - g_x(p)), steps of one grid unit
+        _, low = sfm.minimise(hist.oracle(sign, x))
         if low < 0:
             return False
     return True

@@ -21,7 +21,9 @@ is rare on generated auctions.
 
 Every slope is read from a core.DemandHistogram: one demand-mask scan at a
 price gives the bounds and g(p + e^S) - g(p) for every S, so a direction
-search costs one scan and each probe of a step rule one more.
+search costs one scan and each probe of a step rule one more.  The problem
+keeps its latest histogram, so a step rule's base slope, and a direction
+search at a price a probe just visited, cost no scan.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class PriceProblem:
             # rests on integer bid values; fractional lists are rejected.
             raise ValueError("price finding requires integer bid values")
         self.price_cap = max((v for row in self.arr.vals for v in row), default=0)
+        self._last: tuple[tuple[int, ...], DemandHistogram] | None = None
 
     @property
     def bids(self) -> tuple[Bid, ...]:
@@ -100,6 +103,21 @@ class PriceProblem:
 
     def _pints(self, price) -> list[int]:
         return self.arr.price_ints(price)
+
+    def _histogram(self, pints) -> DemandHistogram:
+        """The histogram at these price ints, rescanned only for a new price.
+
+        The latest one is kept: a step rule's base slope reads the
+        histogram the direction search just made, and the next direction
+        search may read the step rule's last probe.
+        """
+        key = tuple(pints)
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        hist = self.arr.histogram(pints)
+        self._last = (key, hist)
+        return hist
 
     def _slope(self, hist: DemandHistogram, direction) -> int:
         """g(p + e^S) - g(p) at the integral price hist was taken at.
@@ -136,7 +154,7 @@ def demand_bounds(pp: PriceProblem, price) -> DemandBounds:
     ``forced`` collects goods whose lower bound exceeds the target, and
     ``settled`` those whose upper bound does not.
     """
-    return _bounds(pp, pp.arr.histogram(pp._pints(price)))
+    return _bounds(pp, pp._histogram(pp._pints(price)))
 
 
 def _bounds(pp: PriceProblem, hist: DemandHistogram) -> DemandBounds:
@@ -152,21 +170,15 @@ def steepest_direction(pp: PriceProblem, price) -> frozenset[int]:
 
     One demand-mask scan at the price answers the bounds and every slope.
     """
-    hist = pp.arr.histogram(pp._pints(price))
+    hist = pp._histogram(pp._pints(price))
     bounds = _bounds(pp, hist)
     forced, settled = bounds.forced, bounds.settled
     free = [i for i in range(1, pp.n + 1) if i not in forced and i not in settled]
     if not free:
         candidate = forced
     else:
-        remap = {k + 1: g for k, g in enumerate(free)}
-
-        def h(t):
-            direction = forced | {remap[k] for k in t}
-            return pp._slope(hist, direction)
-
-        bottom = sfm.minimal_minimiser(sfm.SetFunction(len(free), h))
-        candidate = forced | {remap[k] for k in bottom}
+        bottom = sfm.minimal_minimiser(hist.oracle(+1, pp.target, free, forced))
+        candidate = forced | {free[k - 1] for k in bottom}
     if not candidate or pp._slope(hist, candidate) >= 0:
         return frozenset()
     return frozenset(candidate)
@@ -209,13 +221,13 @@ def step_length_binary(pp: PriceProblem, price, direction) -> int:
     if not direction:
         raise ValueError("empty direction")
     pints = pp._pints(price)
-    base = pp._slope(pp.arr.histogram(pints), direction)
+    base = pp._slope(pp._histogram(pints), direction)
 
     def pred(lam: int) -> bool:
         probe = list(pints)
         for i in direction:
             probe[i - 1] += (lam - 1) * pp.arr.scale
-        return pp._slope(pp.arr.histogram(probe), direction) == base
+        return pp._slope(pp._histogram(probe), direction) == base
 
     hi_cap = pp.price_cap + 1 - min(price[i - 1] for i in direction)
     if hi_cap < 1:
@@ -243,7 +255,7 @@ def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
     if not direction:
         raise ValueError("empty direction")
     pints = pp._pints(price)
-    base = pp._slope(pp.arr.histogram(pints), direction)
+    base = pp._slope(pp._histogram(pints), direction)
     smask = goods_mask(direction)
     lam = 0
     cap = pp.price_cap + 2
@@ -258,7 +270,7 @@ def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
         probe = list(pints)
         for i in direction:
             probe[i - 1] += lam
-        if pp._slope(pp.arr.histogram(probe), direction) != base:
+        if pp._slope(pp._histogram(probe), direction) != base:
             return lam
 
 

@@ -1,12 +1,26 @@
 """Submodular set-function minimisation.
 
-Two strategies sit behind one interface: exhaustive enumeration for small
-ground sets, and the Fujishige-Wolfe minimum-norm-point algorithm (Wolfe
-1976; Fujishige, Hayashi and Isotani 2006) beyond that.  Wolfe's method runs
-in floating point but never decides anything on its own: every candidate it
-suggests is re-evaluated in exact arithmetic, and optimality is certified
-through an exact lower bound from the base-polytope dual.  For integer-valued
-functions a certified gap below one pins the exact minimum.
+Three routes sit behind one interface, chosen per call:
+
+* a union-closure search, for functions that carry a ``UnionClosure``:
+  F(S) = t(S) - (sum of w_D over D within S) + const with t >= 0 (or that
+  form read at the complement), so shrinking any S to the union of the
+  positive-weight sets D inside it never raises F, and the minimum, and the
+  minimal minimiser, lie among the unions of those sets.  The search lists
+  the unions and evaluates each one exactly; past ``CLOSURE_WORK_CAP``
+  unions it gives up and the next route runs;
+* exhaustive enumeration for ground sets of at most ``BRUTE_FORCE_LIMIT``
+  elements;
+* the Fujishige-Wolfe minimum-norm-point algorithm (Wolfe 1976; Fujishige,
+  Hayashi and Isotani 2006) beyond that, with enumeration up to
+  ``WOLFE_FALLBACK_LIMIT`` elements when it fails to certify.
+
+Wolfe's method runs in floating point but never decides anything on its
+own: every candidate it suggests is re-evaluated in exact arithmetic, and
+optimality is certified through an exact lower bound from the base-polytope
+dual.  When every value the run has seen is an integer, a certified gap
+below one pins the exact minimum; for Fraction values the lower bound must
+reach the best value found, or the run raises ConvergenceFailure.
 
 Ground sets are {1, ..., n} and evaluation callbacks receive frozensets.
 Queries are memoised per call, so repeated evaluation of the same set costs
@@ -18,23 +32,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConvergenceFailure
 
 BRUTE_FORCE_LIMIT = 16
+CLOSURE_WORK_CAP = 5000  # mask unions before a closure search gives up
 WOLFE_FALLBACK_LIMIT = 24
 _WOLFE_MAJOR_CAP = 3000
 _Z1 = 1e-12
 _Z2 = 1e-10
 
 
+class UnionClosure(NamedTuple):
+    """The sets whose unions hold a set function's minimisers.
+
+    ``masks`` are bitmasks over the ground (bit k for element k).  Without
+    ``complement`` the function is F(S) = t(S) - (sum of w_D over the masks
+    D within S) + const, where t >= 0 and every listed mask has w_D > 0
+    (masks of weight <= 0 may be left out).  With ``complement`` that form
+    holds in T = {1..n} - S instead.  Nothing checks this; a wrong closure
+    gives a wrong minimum.
+    """
+
+    masks: tuple[int, ...]
+    complement: bool = False
+
+
 @dataclass
 class SetFunction:
-    """A set function on ground set {1..n} assumed (not checked) submodular."""
+    """A set function on ground set {1..n} assumed (not checked) submodular.
+
+    ``closure``, when given, lets ``minimise`` and ``minimal_minimiser``
+    search the unions it describes before any other route.
+    """
 
     n: int
     fn: Callable[[frozenset], "int | Fraction"]
+    closure: Optional[UnionClosure] = None
 
 
 class _Memo:
@@ -61,10 +96,22 @@ class _RunBest:
         self._memo = memo
         self.best_set = None
         self.best_val = None
+        self.integral = True  # every value seen so far is an integer
+
+    def certifies(self, lb) -> bool:
+        """Whether the exact lower bound lb pins best_val as the minimum.
+
+        Integer values below best_val sit at least one below it, so a gap
+        under one suffices; other values need lb to reach best_val.
+        """
+        gap = Fraction(self.best_val) - lb
+        return gap < 1 if self.integral else gap <= 0
 
     def __call__(self, s):
         s = frozenset(s)
         v = self._memo(s)
+        if self.integral and type(v) is not int:
+            self.integral = Fraction(v).denominator == 1
         if self.best_val is None or v < self.best_val:
             self.best_val = v
             self.best_set = s
@@ -174,9 +221,8 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
     for _ in range(major_cap):
         exact_candidates()
         lb = _exact_gap_check(memo, corral_exact, lams)
-        if lb is not None and memo.best_val is not None:
-            if Fraction(memo.best_val) - lb < 1:
-                return memo.best_set, memo.best_val
+        if lb is not None and memo.certifies(lb):
+            return memo.best_set, memo.best_val
 
         w = [float(v) for v in x]
         q_exact = _greedy_vertex(memo, ground, w)
@@ -186,7 +232,7 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
             # float convergence; force one final exact verdict
             exact_candidates()
             lb = _exact_gap_check(memo, corral_exact, lams)
-            if lb is not None and Fraction(memo.best_val) - lb < 1:
+            if lb is not None and memo.certifies(lb):
                 return memo.best_set, memo.best_val
             raise ConvergenceFailure("min-norm point converged without certificate")
         corral = np.vstack([corral, q])
@@ -214,10 +260,69 @@ def _wolfe(outer_memo, ground, *, major_cap=_WOLFE_MAJOR_CAP):
     raise ConvergenceFailure(f"no certificate after {major_cap} major cycles")
 
 
-def _minimise_ground(memo, ground, method):
+def _bits(mask: int) -> frozenset:
+    """The elements of a bitmask (bit k for element k)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _closure_search(memo, ground, closure):
+    """Exact (minimiser, minimum) over the union closure, or None past the cap.
+
+    Searches the sets S within ``ground``.  Without ``complement`` the
+    members are unions of the masks that fit in the ground, and the member
+    of least value, then fewest elements, is returned: under submodularity
+    that is the minimal minimiser.  With ``complement`` the members are the
+    sets T = ground - S, unions of the masks cut to the ground (elements
+    off the ground are never in S, so they lie in every T), and the
+    returned S is the complement of the least T: a minimiser, the maximal
+    one under submodularity.
+    """
+    gmask = 0
+    for g in ground:
+        gmask |= 1 << g
+    if closure.complement:
+        gens = {d & gmask for d in closure.masks} - {0}
+
+        def read(m):
+            return _bits(gmask & ~m)
+
+    else:
+        gens = {d for d in closure.masks if not d & ~gmask}
+        read = _bits
+    if len(gens) * (len(gens) + 1) > CLOSURE_WORK_CAP:
+        return None  # every mask is a member, so the search would pass the cap
+    members = {0}
+    frontier = [0]
+    work = 0
+    while frontier:
+        grown = []
+        for u in frontier:
+            for d in gens:
+                v = u | d
+                if v not in members:
+                    members.add(v)
+                    grown.append(v)
+            work += len(gens)
+            if work > CLOSURE_WORK_CAP:
+                return None
+        frontier = grown
+    best = read(min(members, key=lambda m: (memo(read(m)), m.bit_count(), m)))
+    return best, memo(best)
+
+
+def _minimise_ground(memo, ground, method, closure=None):
     ground = tuple(sorted(ground))
     if not ground:
         return frozenset(), memo(frozenset())
+    if closure is not None:
+        found = _closure_search(memo, ground, closure)
+        if found is not None:
+            return found
     if method == "brute" or (method == "auto" and len(ground) <= BRUTE_FORCE_LIMIT):
         return _brute_force(memo, ground)
     try:
@@ -231,9 +336,12 @@ def _minimise_ground(memo, ground, method):
 def minimise(f: SetFunction, method: str = "auto"):
     """Return (minimiser, exact minimum value).
 
-    ``method`` is ``auto`` (enumeration up to 16 elements, Wolfe beyond, with
-    an enumeration fallback up to 24 on convergence failure), ``brute`` or
-    ``wolfe``.
+    ``method`` is ``auto``, ``brute`` or ``wolfe``.  ``auto`` searches
+    ``f.closure`` when there is one (under submodularity it then returns
+    the minimal minimiser, or for a complement closure the maximal one);
+    otherwise, or when the search gives up, it enumerates up to 16
+    elements and runs Wolfe beyond, with an enumeration fallback up to 24
+    on convergence failure.
     """
     if method not in ("auto", "brute", "wolfe"):
         raise ValueError(f"unknown method {method!r}")
@@ -241,7 +349,8 @@ def minimise(f: SetFunction, method: str = "auto"):
     ground = range(1, f.n + 1)
     if method == "wolfe":
         return _wolfe(memo, tuple(ground))
-    return _minimise_ground(memo, ground, method)
+    closure = f.closure if method == "auto" else None
+    return _minimise_ground(memo, ground, method, closure)
 
 
 def minimal_minimiser(f: SetFunction, method: str = "auto") -> frozenset:
@@ -249,17 +358,28 @@ def minimal_minimiser(f: SetFunction, method: str = "auto") -> frozenset:
 
     Minimisers of a submodular function form a lattice, so the minimal one is
     obtained from any minimiser S by re-minimising with each element v of S
-    excluded: v belongs to the bottom exactly when exclusion hurts.
+    excluded: v belongs to the bottom exactly when exclusion hurts.  A
+    closure search on ``f.closure`` (method ``auto``) gives the bottom
+    directly, except for a complement closure, whose re-runs search the
+    closure again; when the first search gives up, the re-runs do not
+    search.
     """
     if method not in ("auto", "brute", "wolfe"):
         raise ValueError(f"unknown method {method!r}")
     memo = _Memo(f.fn)
     ground = tuple(range(1, f.n + 1))
-    s, val = _minimise_ground(memo, ground, method)
+    closure = f.closure if method == "auto" else None
+    found = _closure_search(memo, ground, closure) if closure else None
+    if found is None:
+        closure = None  # the re-runs do not search again
+        found = _minimise_ground(memo, ground, method)
+    elif not closure.complement:
+        return found[0]
+    s, val = found
     bottom = set()
     for v in sorted(s):
         sub = tuple(g for g in ground if g != v)
-        _, val_v = _minimise_ground(memo, sub, method)
+        _, val_v = _minimise_ground(memo, sub, method, closure)
         if val_v > val:
             bottom.add(v)
     return frozenset(bottom)

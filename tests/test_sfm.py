@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -53,6 +54,17 @@ class TestMinimise:
         s_auto, v_auto = minimise(f)  # auto routes to Wolfe above 16
         best, _ = enumerate_minimum(f)
         assert v_auto == best and f.fn(s_auto) == best
+
+    def test_wolfe_exact_on_fraction_values(self):
+        # A certified gap below one pins the minimum of integer values only;
+        # with values in thousandths Wolfe used to stop one gap too early.
+        rng = Random(1)
+        for _ in range(6):
+            f = random_submodular(rng, 17)
+            g = SetFunction(17, lambda s, f=f: Fraction(f.fn(s), 1000))
+            s, v = minimise(g)
+            best, _ = enumerate_minimum(g)
+            assert v == best and g.fn(s) == best
 
 
 class TestMinimalMinimiser:
@@ -123,13 +135,22 @@ class TestSubmodularityChecker:
 
 NUMPY_PROBE = """
 import sys
+from random import Random
 from productmix import (
-    BidList, PriceProblem, SetFunction, check_validity, is_demanded, long_step_min_up, minimise
+    BidList, PriceProblem, SetFunction, allocate, check_validity, is_demanded,
+    long_step_min_up, minimise
 )
+from productmix.testgen import GenConfig, generate_instance
 lst = BidList.from_rows("b", [(2, 4, 0, 1), (4, 2, 0, 1), (4, 4, 0, -1), (6, 6, 0, 1)])
 assert check_validity(lst).is_valid
 price, _ = long_step_min_up(PriceProblem([lst], (1, 1, 0)))
 assert is_demanded(lst, (1, 1, 0), price)
+print("numpy" in sys.modules)
+lists, target = generate_instance(GenConfig(n=20, q=4, M=20), 2, Random("numpy-probe"))
+price, _ = long_step_min_up(PriceProblem(lists, target))
+reserve = BidList.from_rows("auctioneer", [(0,) * 20 + (1,)] * (sum(target) + 1))
+solution = allocate(lists + [reserve], target, price)
+assert solution.cycle_calls > 0
 print("numpy" in sys.modules)
 minimise(SetFunction(20, lambda s: len(s) - 2 * len(s & {3, 7})))
 print("numpy" in sys.modules)
@@ -149,5 +170,7 @@ class TestImport:
             check=True,
         )
         # validity, and pricing and membership on 3 goods, stay below the
-        # enumeration limit
-        assert out.stdout.split() == ["False", "True"]
+        # enumeration limit; on 20 goods, pricing, membership and tie
+        # cycles search the histogram's union closure instead of running
+        # Wolfe
+        assert out.stdout.split() == ["False", "False", "True"]
