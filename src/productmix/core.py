@@ -202,6 +202,8 @@ class ScaledBids:
     ValueError for a value or price off the requested grid; neither ever
     rounds.  ``histogram`` groups the bids by demanded set at a grid price;
     the demand bounds and every one-unit oracle read that histogram.
+    ``gaps`` groups the bids demanding within a direction by how far
+    prices can rise along it before they stop; the step rules read it.
     """
 
     __slots__ = ("scale", "vals", "weights")
@@ -317,8 +319,10 @@ class ScaledBids:
     def bundle(self, pints: list[int]):
         return pure.unique_bundle(self.vals, self.weights, pints)
 
-    def min_step(self, pints: list[int], smask: int) -> int:
-        return pure.min_step(self.vals, pints, smask)
+    def gaps(self, pints: list[int], smask: int) -> dict[int, int]:
+        """{gap: summed weight} of the bids demanding a subset of S at this
+        grid price, the gap being in grid units (``pure.gap_table``)."""
+        return pure.gap_table(self.vals, self.weights, pints, smask)
 
     def histogram(self, pints: list[int]) -> "DemandHistogram":
         """The bids' demanded sets at this grid price, grouped by set."""

@@ -16,6 +16,8 @@ Conventions:
   bit ``i`` for good ``i``.
 """
 
+from itertools import repeat
+
 
 def indirect_utility(vals, weights, price):
     """Sum of weight * max(0, max_i(v_i - p_i)) over all bids."""
@@ -78,35 +80,42 @@ def unique_bundle(vals, weights, price):
     return bundle
 
 
-def min_step(vals, price, smask):
-    """Smallest surplus gap to outside S over bids demanding a subset of S.
+def gap_table(vals, weights, price, smask):
+    """{gap: summed weight} over the bids demanding a subset of S.
 
-    ``smask`` must not contain bit 0.  Returns -1 when no bid demands a
-    subset of S (the reject good counts as outside S, so bids that can
-    reject never qualify).
+    A bid's gap is its best surplus on S minus its best surplus outside S,
+    the reject good's 0 included; it demands a subset of S exactly when the
+    gap is positive.  ``smask`` must not contain bit 0.  One pass per row.
+    A gap whose weights cancel keeps its key with weight 0.
     """
     n = len(price)
-    best_mu = -1
-    for row in vals:
-        best = 0
-        for j in range(n):
+    inside = [j for j in range(n) if (smask >> (j + 1)) & 1]
+    outside = [j for j in range(n) if not (smask >> (j + 1)) & 1]
+    gaps = {}
+    if not inside:
+        return gaps
+    first, rest = inside[0], inside[1:]
+    for row, w in zip(vals, weights):
+        best = row[first] - price[first]
+        for j in rest:
             s = row[j] - price[j]
             if s > best:
                 best = s
-        if best == 0:
-            continue  # reject demanded, not a subset of S
-        inside = True
-        outside = 0
-        for j in range(n):
+        if best <= 0:
+            continue  # the reject good is at least as good
+        runner = 0
+        for j in outside:
             s = row[j] - price[j]
-            if s == best and not (smask >> (j + 1)) & 1:
-                inside = False
-                break
-            if not (smask >> (j + 1)) & 1 and s > outside:
-                outside = s
-        if not inside:
-            continue
-        mu = best - outside
-        if best_mu < 0 or mu < best_mu:
-            best_mu = mu
-    return best_mu
+            if s > runner:
+                runner = s
+                if runner >= best:
+                    break
+        if runner < best:
+            mu = best - runner
+            gaps[mu] = gaps.get(mu, 0) + w
+    return gaps
+
+
+def min_step(vals, price, smask):
+    """Smallest gap of gap_table, or -1 when no bid demands a subset of S."""
+    return min(gap_table(vals, repeat(1), price, smask), default=-1)

@@ -12,24 +12,31 @@ the component-wise minimal clearing price.
 Two long-step rules accelerate the plain unit-step loop without changing the
 visited trajectory: a binary search on the step predicate, and a demand-change
 sweep that advances to the next price at which some bid's demanded set stops
-being a subset of the step direction.  Before any submodular call the
-dimension is cut down by coordinate bounds on demanded bundles (goods every
-demanded bundle over-supplies must join the direction, goods none over-supply
-never do).  These bounds shrink the ground set of the submodular
-minimisation; they skip it only when every good is forced or settled, which
-is rare on generated auctions.
+being a subset of the step direction.  Both read one gap table made at the
+step's base price (core.ScaledBids.gaps).  Along q_k = p + k e^S, a bid
+demanding a subset of S at p keeps its demanded set while k is below its gap
+mu (best surplus on S minus best surplus outside S, reject included) and
+stops demanding within S at k = mu; no other bid ever starts, since raising
+prices on S only lowers surpluses on S.  So, for any list, valid or not,
+slope(q_k) - slope(p) is the summed weight of the gaps mu <= k.
+
+Before any submodular call the dimension is cut down by coordinate bounds on
+demanded bundles (goods every demanded bundle over-supplies must join the
+direction, goods none over-supply never do).  These bounds shrink the ground
+set of the submodular minimisation; they skip it only when every good is
+forced or settled, which is rare on generated auctions.
 
 Every slope is read from a core.DemandHistogram: one demand-mask scan at a
 price gives the bounds and g(p + e^S) - g(p) for every S, so a direction
-search costs one scan and each probe of a step rule one more.  The problem
-keeps its latest histogram, so a step rule's base slope, and a direction
-search at a price a probe just visited, cost no scan.
+search costs one scan, and a step of either rule one more, for its gap table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from . import sfm
@@ -92,7 +99,6 @@ class PriceProblem:
             # rests on integer bid values; fractional lists are rejected.
             raise ValueError("price finding requires integer bid values")
         self.price_cap = max((v for row in self.arr.vals for v in row), default=0)
-        self._last: tuple[tuple[int, ...], DemandHistogram] | None = None
 
     @property
     def bids(self) -> tuple[Bid, ...]:
@@ -102,22 +108,18 @@ class PriceProblem:
     # -- exact evaluation helpers (scaled integers) -------------------------
 
     def _pints(self, price) -> list[int]:
+        if len(price) != self.n:
+            raise ValueError(f"expected a price vector of length {self.n}, got {len(price)}")
         return self.arr.price_ints(price)
 
-    def _histogram(self, pints) -> DemandHistogram:
-        """The histogram at these price ints, rescanned only for a new price.
-
-        The latest one is kept: a step rule's base slope reads the
-        histogram the direction search just made, and the next direction
-        search may read the step rule's last probe.
-        """
-        key = tuple(pints)
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        hist = self.arr.histogram(pints)
-        self._last = (key, hist)
-        return hist
+    def _direction(self, direction) -> frozenset[int]:
+        """A step rule's direction: a non-empty set of real goods."""
+        direction = frozenset(direction)
+        if not direction:
+            raise ValueError("empty direction")
+        if not direction <= set(range(1, self.n + 1)):
+            raise ValueError("direction must be a set of real goods")
+        return direction
 
     def _slope(self, hist: DemandHistogram, direction) -> int:
         """g(p + e^S) - g(p) at the integral price hist was taken at.
@@ -154,7 +156,7 @@ def demand_bounds(pp: PriceProblem, price) -> DemandBounds:
     ``forced`` collects goods whose lower bound exceeds the target, and
     ``settled`` those whose upper bound does not.
     """
-    return _bounds(pp, pp._histogram(pp._pints(price)))
+    return _bounds(pp, pp.arr.histogram(pp._pints(price)))
 
 
 def _bounds(pp: PriceProblem, hist: DemandHistogram) -> DemandBounds:
@@ -170,7 +172,7 @@ def steepest_direction(pp: PriceProblem, price) -> frozenset[int]:
 
     One demand-mask scan at the price answers the bounds and every slope.
     """
-    hist = pp._histogram(pp._pints(price))
+    hist = pp.arr.histogram(pp._pints(price))
     bounds = _bounds(pp, hist)
     forced, settled = bounds.forced, bounds.settled
     free = [i for i in range(1, pp.n + 1) if i not in forced and i not in settled]
@@ -214,22 +216,24 @@ def min_up(pp: PriceProblem) -> tuple[tuple[int, ...], DescentTrace]:
 def step_length_binary(pp: PriceProblem, price, direction) -> int:
     """Largest step keeping the slope constant, found by binary search.
 
-    Monotonicity of the slope along the direction makes the predicate
-    "slope unchanged after lam-1 further unit steps" a prefix property.
+    The predicate is "slope unchanged after lam-1 further unit steps": the
+    gap table's weights up to lam-1 sum to zero.  Where the slope does not
+    decrease along the direction, as on a valid aggregate list, that is a
+    prefix property and the search finds the first change; elsewhere the
+    slope may change and change back, and the search returns some lam at
+    which the predicate holds and fails at lam+1.
     """
-    direction = frozenset(direction)
-    if not direction:
-        raise ValueError("empty direction")
+    direction = pp._direction(direction)
     pints = pp._pints(price)
-    base = pp._slope(pp._histogram(pints), direction)
+    gaps = pp.arr.gaps(pints, goods_mask(direction))
+    mus = sorted(gaps)
+    changes = list(accumulate(gaps[mu] for mu in mus))
 
     def pred(lam: int) -> bool:
-        probe = list(pints)
-        for i in direction:
-            probe[i - 1] += (lam - 1) * pp.arr.scale
-        return pp._slope(pp._histogram(probe), direction) == base
+        k = bisect_right(mus, lam - 1)
+        return k == 0 or changes[k - 1] == 0
 
-    hi_cap = pp.price_cap + 1 - min(price[i - 1] for i in direction)
+    hi_cap = pp.price_cap + 1 - min(pints[i - 1] for i in direction)
     if hi_cap < 1:
         hi_cap = 1
     if pred(hi_cap):
@@ -247,31 +251,24 @@ def step_length_binary(pp: PriceProblem, price, direction) -> int:
 def step_length_demand_change(pp: PriceProblem, price, direction) -> int:
     """Step length via successive demand changes (integral bids only).
 
-    Repeatedly advances to the nearest price at which some bid demanding a
-    subset of the direction becomes marginal with an outside good, until the
-    slope actually changes.  Agrees exactly with step_length_binary.
+    Advances through the gap table's gaps in increasing order, each a price
+    at which some bid demanding a subset of the direction becomes marginal
+    with an outside good, and stops at the first at which the slope has
+    changed.  Returns what step_length_binary returns where the slope does
+    not decrease along the direction, as on a valid aggregate list;
+    elsewhere this rule takes the first change and the two can differ.
     """
-    direction = frozenset(direction)
-    if not direction:
-        raise ValueError("empty direction")
-    pints = pp._pints(price)
-    base = pp._slope(pp._histogram(pints), direction)
-    smask = goods_mask(direction)
-    lam = 0
+    direction = pp._direction(direction)
+    gaps = pp.arr.gaps(pp._pints(price), goods_mask(direction))
     cap = pp.price_cap + 2
-    probe = list(pints)
-    while True:
-        mu = pp.arr.min_step(probe, smask)
-        if mu < 0:
-            raise StepUnbounded("no bid demands a subset of the direction")
-        lam += mu
-        if lam > cap:
+    change = 0
+    for mu in sorted(gaps):
+        if mu > cap:
             raise StepUnbounded("slope never changes inside the price box")
-        probe = list(pints)
-        for i in direction:
-            probe[i - 1] += lam
-        if pp._slope(pp._histogram(probe), direction) != base:
-            return lam
+        change += gaps[mu]
+        if change:
+            return mu
+    raise StepUnbounded("no bid demands a subset of the direction")
 
 
 def long_step_min_up(pp: PriceProblem, method: str = "binary") -> tuple[tuple[int, ...], DescentTrace]:

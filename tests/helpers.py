@@ -13,6 +13,7 @@ from productmix import (
     valuation,
 )
 from productmix.allocation import _project_rows
+from productmix.errors import StepUnbounded
 from productmix.kernels import pure
 from productmix.sfm import SetFunction, minimise
 from productmix.validity import DEFAULT_BUDGET, RegionQuery, ValidityReport, md, mdF
@@ -111,6 +112,79 @@ def scan_step(table, pints, goods, sign, t) -> int:
     for i in goods:
         q[i - 1] += sign
     return table.utility(q) - table.utility(pints) + sign * sum(t[i - 1] for i in goods)
+
+
+def reference_step_binary(pp, price, direction) -> int:
+    """step_length_binary by probing: one histogram scan per probe.
+
+    The reference for the gap-table form: the predicate "slope unchanged
+    after lam-1 further unit steps" is read from a fresh histogram at the
+    probe price, compared with the slope at the base price.
+    """
+    direction = frozenset(direction)
+    if not direction:
+        raise ValueError("empty direction")
+    pints = pp._pints(price)
+    base = pp._slope(pp.arr.histogram(pints), direction)
+
+    def pred(lam: int) -> bool:
+        probe = list(pints)
+        for i in direction:
+            probe[i - 1] += lam - 1
+        return pp._slope(pp.arr.histogram(probe), direction) == base
+
+    hi_cap = max(1, pp.price_cap + 1 - min(pints[i - 1] for i in direction))
+    if pred(hi_cap):
+        raise StepUnbounded("slope never changes inside the price box")
+    lo, hi = 1, hi_cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_step_demand_change(pp, price, direction) -> int:
+    """step_length_demand_change by probing: two scans per demand change.
+
+    The reference for the gap-table form: at each probe price the smallest
+    surplus gap of the bids demanding within the direction says how far to
+    advance, and a fresh histogram says whether the slope has changed.
+    """
+    direction = frozenset(direction)
+    if not direction:
+        raise ValueError("empty direction")
+    pints = pp._pints(price)
+    base = pp._slope(pp.arr.histogram(pints), direction)
+    lam = 0
+    cap = pp.price_cap + 2
+    probe = list(pints)
+    while True:
+        mu = _smallest_gap(pp.arr.vals, probe, direction)
+        if mu < 0:
+            raise StepUnbounded("no bid demands a subset of the direction")
+        lam += mu
+        if lam > cap:
+            raise StepUnbounded("slope never changes inside the price box")
+        probe = list(pints)
+        for i in direction:
+            probe[i - 1] += lam
+        if pp._slope(pp.arr.histogram(probe), direction) != base:
+            return lam
+
+
+def _smallest_gap(vals, price, direction) -> int:
+    """Least best-minus-best-outside surplus over the bids demanding within
+    the direction (the reject good counts as outside), or -1 if none."""
+    gaps = []
+    for row in vals:
+        s = [0] + [v - p for v, p in zip(row, price)]
+        best = max(s)
+        if all(g in direction for g, x in enumerate(s) if x == best):
+            gaps.append(best - max(x for g, x in enumerate(s) if g not in direction))
+    return min(gaps, default=-1)
 
 
 def reference_shift_project_unshift(problem, good: int, bidder: str) -> None:

@@ -48,6 +48,19 @@ def oracle_min_step(vals, price, smask):
     return min(gaps) if gaps else -1
 
 
+def oracle_gap_table(vals, weights, price, smask):
+    inside = {g for g in range(1, len(price) + 1) if (smask >> g) & 1}
+    table = {}
+    for row, w in zip(vals, weights):
+        demanded = demanded_goods(Bid(tuple(row), 1), price)
+        if 0 in demanded or not demanded <= inside:
+            continue
+        s = surpluses(row, price)
+        gap = max(s) - max(s[g] for g in range(len(s)) if g not in inside)
+        table[gap] = table.get(gap, 0) + w
+    return table
+
+
 @pytest.mark.parametrize("big", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_kernels_match_fraction_definitions(seed, big):
@@ -71,8 +84,12 @@ def test_kernels_match_fraction_definitions(seed, big):
                 expected[min(d)] += w
         assert pure.unique_bundle(vals, weights, price) == expected
 
+        weights2 = [w * rng.choice([1, 2]) for w in weights]
         for smask in range(2, 1 << (n + 1), 2):
             assert pure.min_step(vals, price, smask) == oracle_min_step(vals, price, smask)
+            table = pure.gap_table(vals, weights2, price, smask)
+            assert table == oracle_gap_table(vals, weights2, price, smask)
+            assert all(type(gap) is int and gap > 0 for gap in table)
 
 
 def test_min_step_semantics():
@@ -81,6 +98,16 @@ def test_min_step_semantics():
     price = [0, 0]
     assert pure.min_step(vals, price, 0b010) == 3  # min(5-2, 3-0)
     assert pure.min_step(vals, price, 0b100) == -1  # nobody demands only good 2
+
+
+def test_gap_table_semantics():
+    vals = [[5, 2], [3, 0], [0, 0], [4, 1], [1, 4]]
+    weights = [1, 1, 1, -1, 1]
+    # on {1}: gaps 5-2, 3-0 and 4-1 (the third bid rejects, the fifth prefers 2)
+    assert pure.gap_table(vals, weights, [0, 0], 0b010) == {3: 1}
+    # on {1, 2} every gap is to the reject good; the two gaps of 4 cancel
+    assert pure.gap_table(vals, weights, [0, 0], 0b110) == {5: 1, 3: 1, 4: 0}
+    assert pure.gap_table(vals, weights, [0, 0], 0) == {}
 
 
 def test_pure_handles_big_ints():

@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from helpers import is_subsequence
+from helpers import is_subsequence, reference_step_binary, reference_step_demand_change
 from productmix import BidList, GenConfig, generate_instance
 from productmix.errors import StepUnbounded
+from productmix.kernels import pure
 from productmix.pricing import (
     PriceProblem,
     demand_bounds,
@@ -148,6 +150,128 @@ class TestStepLengths:
             step_length_demand_change(pp, (0, 0), {2})
         with pytest.raises(StepUnbounded):
             step_length_binary(pp, (0, 0), {2})
+
+    def test_decimal_string_and_fraction_prices(self, worked):
+        for price in [("0", "0"), (Fraction(0), Fraction(0)), ("0", 0)]:
+            assert step_length_binary(worked, price, {1, 2}) == 4
+            assert step_length_demand_change(worked, price, {1, 2}) == 4
+        assert step_length_binary(worked, ("3", Fraction(3)), {1, 2}) == 1
+        assert step_length_demand_change(worked, ("3", Fraction(3)), {1, 2}) == 1
+
+    def test_rules_differ_where_the_slope_falls(self):
+        # an invalid list: the slope along {1} rises at 1 and falls back at
+        # 5, so the first change (1) is not where the binary search lands
+        lst = BidList.from_rows("x", [(1, 0, 1), (3, 4, -1), (5, 0, 1)])
+        pp = PriceProblem([lst], (1, 1))
+        assert step_length_binary(pp, (0, 3), {1}) == 5
+        assert step_length_demand_change(pp, (0, 3), {1}) == 1
+        assert reference_step_binary(pp, (0, 3), {1}) == 5
+        assert reference_step_demand_change(pp, (0, 3), {1}) == 1
+
+
+def _outcome(rule, pp, price, direction):
+    """A step rule's length, or its exception's type and message."""
+    try:
+        return rule(pp, price, direction)
+    except (StepUnbounded, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_step_case(rng: Random):
+    """A (problem, price, direction) triple over a small, often invalid list.
+
+    Weights are +-1 and +-2; prices fall inside the box, on a bid's ties,
+    or past the cap; directions are random non-empty sets of goods.
+    """
+    n = rng.randint(1, 4)
+    rows = [
+        tuple(rng.randint(0, 12) for _ in range(n)) + (rng.choice((-2, -1, 1, 2)),)
+        for _ in range(rng.randint(1, 7))
+    ]
+    pp = PriceProblem([BidList.from_rows("x", rows, n=n)], [rng.randint(0, 2) for _ in range(n)])
+    kind = rng.randrange(3)
+    if kind == 0:
+        price = [rng.randint(0, pp.price_cap) for _ in range(n)]
+    elif kind == 1:
+        row, c = rng.choice(rows), rng.randint(0, 6)
+        price = [v - c + rng.choice((0, 0, 1, 3)) for v in row[:n]]
+    else:
+        price = [pp.price_cap + rng.randint(-1, 4) for _ in range(n)]
+    return pp, price, frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+
+
+NO_SUBSET = "no bid demands a subset of the direction"
+
+
+class TestStepRulesMatchProbing:
+    """The gap-table rules return what the probing references return."""
+
+    def test_random_cases(self):
+        rng = Random("step-rules-vs-probing")
+        seen = Counter()
+        for _ in range(5000):
+            pp, price, direction = _random_step_case(rng)
+            binary = _outcome(step_length_binary, pp, price, direction)
+            change = _outcome(step_length_demand_change, pp, price, direction)
+            assert binary == _outcome(reference_step_binary, pp, price, direction)
+            assert change == _outcome(reference_step_demand_change, pp, price, direction)
+            for out in (binary, change):
+                seen["length" if isinstance(out, int) else out[1]] += 1
+            seen["lengths differ"] += isinstance(binary, int) and isinstance(change, int) and binary != change
+            # some bid demands within the direction, yet the weights cancel
+            smask = sum(1 << i for i in direction)
+            seen["cancelled"] += change == (StepUnbounded, NO_SUBSET) and (
+                pure.min_step(pp.arr.vals, pp._pints(price), smask) > 0
+            )
+        assert seen["length"] > 2000
+        assert seen["slope never changes inside the price box"] > 100
+        assert seen[NO_SUBSET] > 100
+        assert seen["lengths differ"] > 10
+        assert seen["cancelled"] > 10
+
+    def test_descent_directions(self):
+        # steepest directions along unit-step trajectories of generated lists
+        rng = Random("step-rules-on-trajectories")
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            lists, target = generate_instance(GenConfig(n=n, q=8, M=16), 2, rng)
+            pp = PriceProblem(lists, target)
+            _, trace = min_up(pp)
+            for step in trace.steps:
+                for rule, reference in (
+                    (step_length_binary, reference_step_binary),
+                    (step_length_demand_change, reference_step_demand_change),
+                ):
+                    assert rule(pp, step.price, step.direction) == reference(
+                        pp, step.price, step.direction
+                    )
+
+
+class TestBadInput:
+    """Wrong-length prices and directions outside 1..n raise ValueError."""
+
+    @pytest.mark.parametrize("price", [(0,), (0, 0, 0), ()])
+    def test_price_length(self, worked, price):
+        with pytest.raises(ValueError, match="length 2"):
+            demand_bounds(worked, price)
+        with pytest.raises(ValueError, match="length 2"):
+            steepest_direction(worked, price)
+        for step_length in (step_length_binary, step_length_demand_change):
+            with pytest.raises(ValueError, match="length 2"):
+                step_length(worked, price, {1})
+
+    @pytest.mark.parametrize("direction", [{3}, {0}, {1, 3}, {-1}])
+    def test_direction_goods(self, worked, direction):
+        for step_length in (step_length_binary, step_length_demand_change):
+            with pytest.raises(ValueError, match="real goods"):
+                step_length(worked, (0, 0), direction)
+        with pytest.raises(ValueError, match="real goods"):
+            slope(worked, (0, 0), direction)
+
+    def test_empty_direction(self, worked):
+        for step_length in (step_length_binary, step_length_demand_change):
+            with pytest.raises(ValueError, match="empty direction"):
+                step_length(worked, (0, 0), set())
 
 
 class TestLongStep:
